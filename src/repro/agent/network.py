@@ -197,9 +197,7 @@ class PolicyValueNet(Layer):
         probs, values = self.evaluate_batch([PlaneView(s_p, s_a, t, total_steps)])
         return probs[0], float(values[0])
 
-    def evaluate_batch(
-        self, states, tile: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate_batch(self, states) -> tuple[np.ndarray, np.ndarray]:
         """Batched inference: (masked probabilities (B, ζ²), values (B,)).
 
         Packs *states* (see :meth:`pack_planes_batch`) into one NCHW tensor
@@ -209,11 +207,6 @@ class PolicyValueNet(Layer):
         (``s_a > 0``; an all-masked row falls back to the plain softmax,
         matching the single-state path).  The previous train/eval mode is
         restored on exit.
-
-        With *tile* set, the forward runs through :meth:`forward_eval_tiled`
-        instead of one variable-size forward; see that method for why the
-        shared-inference stack needs it.  ``tile=None`` (the default) is
-        byte-for-byte the historical path.
         """
         from repro.nn.functional import masked_softmax
 
@@ -221,77 +214,19 @@ class PolicyValueNet(Layer):
         if len(states) == 0:
             return np.zeros((0, zeta * zeta)), np.zeros(0)
         x = self.pack_planes_batch(states)
-        if tile is None:
-            logits, v = self.forward_eval(x)
-        else:
-            logits, v = self.forward_eval_tiled(x, tile)
-        probs = masked_softmax(logits, self.policy_masks(states), axis=1)
-        return probs, np.asarray(v, dtype=np.float64)
-
-    def policy_masks(self, states) -> np.ndarray:
-        """Per-state availability masks for the policy softmax (B, ζ²).
-
-        Shared by :meth:`evaluate_batch` and the broker-served
-        :class:`~repro.inference.client.InferenceClient` path, which
-        receives raw logits/value rows and applies the identical masking
-        tail locally — keeping both paths literally the same code.
-        """
-        zeta = self.config.zeta
+        was_training = self.training
+        if was_training:  # avoid two full layer-tree walks per call when
+            self.eval()  # the network already sits in eval mode
+        try:
+            logits, v = self.forward(x)
+        finally:
+            if was_training:
+                self.train(True)
         masks = np.empty((len(states), zeta * zeta))
         for i, s in enumerate(states):
             mask = (s.s_a > 0).ravel().astype(float)
             if not mask.any():
                 mask = np.ones_like(mask)
             masks[i] = mask
-        return masks
-
-    def forward_eval(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One eval-mode forward, restoring the previous train/eval mode."""
-        was_training = self.training
-        if was_training:  # avoid two full layer-tree walks per call when
-            self.eval()  # the network already sits in eval mode
-        try:
-            return self.forward(x)
-        finally:
-            if was_training:
-                self.train(True)
-
-    def forward_eval_tiled(
-        self, x: np.ndarray, tile: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Eval-mode forward in fixed-size zero-padded chunks of *tile* rows.
-
-        BLAS picks different GEMM kernels/blockings for different batch-row
-        counts, so a row's result is *not* bitwise stable across batch
-        sizes — but at a fixed row count it is bitwise independent of both
-        its position and the other rows' content (zero padding included).
-        Running every forward as exact *tile*-row chunks therefore makes
-        each state's (logits, value) invariant to how requests were
-        coalesced, which is what lets the inference broker batch across
-        jobs while staying bitwise-identical to a private network using
-        the same tile.
-        """
-        n = len(x)
-        if n == 0:
-            zeta = self.config.zeta
-            return np.zeros((0, zeta * zeta), dtype=x.dtype), np.zeros(0)
-        out_logits, out_v = [], []
-        was_training = self.training
-        if was_training:
-            self.eval()
-        try:
-            for start in range(0, n, tile):
-                chunk = x[start : start + tile]
-                rows = len(chunk)
-                if rows < tile:
-                    pad = np.zeros(
-                        (tile - rows,) + chunk.shape[1:], dtype=chunk.dtype
-                    )
-                    chunk = np.concatenate([chunk, pad], axis=0)
-                logits, v = self.forward(chunk)
-                out_logits.append(logits[:rows])
-                out_v.append(v[:rows])
-        finally:
-            if was_training:
-                self.train(True)
-        return np.concatenate(out_logits), np.concatenate(out_v)
+        probs = masked_softmax(logits, masks, axis=1)
+        return probs, np.asarray(v, dtype=np.float64)

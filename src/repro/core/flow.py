@@ -182,8 +182,7 @@ class MCTSGuidedPlacer:
         return reward_fn, samples
 
     def _build_trainer(
-        self, env, network, reward_fn, rng, budget=None, terminal_pool=None,
-        inference=None,
+        self, env, network, reward_fn, rng, budget=None, terminal_pool=None
     ) -> ActorCriticTrainer:
         cfg = self.config
         return ActorCriticTrainer(
@@ -201,7 +200,6 @@ class MCTSGuidedPlacer:
             max_episode_failures=cfg.max_episode_failures,
             n_envs=cfg.rollout_envs,
             terminal_pool=terminal_pool,
-            inference=inference,
         )
 
     def optimize(
@@ -338,31 +336,6 @@ class MCTSGuidedPlacer:
                 env, workers=cfg.terminal_workers, events=events,
                 clamp=cfg.terminal_pool_clamp,
             )
-
-        # Shared inference: with the broker enabled (config knob, or a
-        # service-owned handle arriving on the context), RL rollouts and
-        # MCTS evaluate through InferenceClients instead of the private
-        # network.  Broker-served, fallback, and degraded paths all share
-        # the fixed-tile forward, so stage results are bitwise-identical
-        # whether the broker lives, dies, or was never reachable.
-        inference_broker = getattr(ctx, "inference_broker", None)
-        owned_broker = None
-        trainer_client = mcts_client = None
-        if cfg.inference_broker or inference_broker is not None:
-            from repro.inference import InferenceBroker, InferenceClient
-
-            if inference_broker is None:
-                inference_broker = owned_broker = InferenceBroker(
-                    max_batch=cfg.inference_max_batch,
-                    coalesce_us=cfg.inference_coalesce_us,
-                    events=events,
-                ).start()
-            trainer_client = InferenceClient(
-                network, inference_broker, events=events, publishable=True
-            )
-            mcts_client = InferenceClient(
-                network, inference_broker, events=events
-            )
         try:
             # -- stage 4: RL pre-training ----------------------------------------
             if ctx.completed("rl_training"):
@@ -376,7 +349,6 @@ class MCTSGuidedPlacer:
                     rng,
                     budget=ctx.budget("rl_training"),
                     terminal_pool=terminal_pool,
-                    inference=trainer_client,
                 )
                 history = ctx.load_training_snapshot(trainer)
                 trainer.checkpoint_hook = (
@@ -413,7 +385,6 @@ class MCTSGuidedPlacer:
                     ),
                     terminal_pool=terminal_pool,
                     terminal_cache=terminal_cache,
-                    inference=mcts_client,
                 )
                 resume_state = ctx.load_mcts_snapshot()
                 with ctx.guard("mcts"):
@@ -448,11 +419,6 @@ class MCTSGuidedPlacer:
                     ctx.save_final(design, hpwl, legal_hpwl)
                     ctx.mark("final", hpwl=hpwl)
         finally:
-            for client in (trainer_client, mcts_client):
-                if client is not None:
-                    client.close()
-            if owned_broker is not None:
-                owned_broker.close()
             if terminal_pool is not None:
                 terminal_pool.close()
 

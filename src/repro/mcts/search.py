@@ -167,16 +167,9 @@ class MCTSPlacer:
         terminal_pool=None,
         terminal_cache: TerminalCache | None = None,
         surrogate: GroupCentroidSurrogate | None = None,
-        inference=None,
     ) -> None:
         self.env = env
         self.network = network
-        #: evaluation surface for network inference.  Defaults to the
-        #: network itself; the flow passes an
-        #: :class:`~repro.inference.InferenceClient` here in broker mode
-        #: (same evaluate/evaluate_batch signatures, bitwise-identical
-        #: per-state results), so the search never knows the difference.
-        self._infer = inference if inference is not None else network
         self.reward_fn = reward_fn
         self.config = config
         self.rng = ensure_rng(config.seed)
@@ -265,7 +258,7 @@ class MCTSPlacer:
             self.n_eval_cache_hits += 1
         else:
             started = time.perf_counter()
-            probs, value = self._infer.evaluate(
+            probs, value = self.network.evaluate(
                 state.s_p, state.s_a, state.t, state.total_steps
             )
             self.seconds_evaluation += time.perf_counter() - started
@@ -563,7 +556,7 @@ class MCTSPlacer:
                 miss_states.append(state)
         if miss_states:
             started = time.perf_counter()
-            probs_batch, values = self._infer.evaluate_batch(miss_states)
+            probs_batch, values = self.network.evaluate_batch(miss_states)
             self.seconds_evaluation += time.perf_counter() - started
             self.n_network_evaluations += len(miss_states)
             self.n_waves += 1

@@ -22,6 +22,7 @@ Classification rules (matching common mixed-size practice):
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -72,15 +73,19 @@ def _content_lines(path: str) -> list[tuple[int, str]]:
 def _parse_float(
     text: str, path: str, lineno: int, line: str, what: str
 ) -> float:
+    """Parse one finite number; ``nan``/``inf`` are rejected like garbage."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
         raise BookshelfError(
             f"malformed {what} {text!r}",
             file=path,
             line=lineno,
             text=line,
-        ) from None
+        )
+    return value
 
 
 @dataclass
@@ -105,6 +110,11 @@ def _parse_nodes(path: str) -> list[_RawNode]:
         terminal = len(parts) > 3 and parts[3].lower().startswith("terminal")
         w = _parse_float(parts[1], path, lineno, line, "node width")
         h = _parse_float(parts[2], path, lineno, line, "node height")
+        if w < 0 or h < 0:
+            raise BookshelfError(
+                f"negative node size {parts[1]} x {parts[2]}",
+                file=path, line=lineno, text=line,
+            )
         nodes.append(_RawNode(parts[0], w, h, terminal))
     return nodes
 

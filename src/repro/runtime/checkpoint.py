@@ -83,15 +83,7 @@ def config_fingerprint(config) -> str:
     runs share warm artifacts and resume each other freely.
     ``incremental_legalizer`` swaps in a cache-reusing pipeline whose
     results are bitwise-identical to the from-scratch one, so it is an
-    execution knob too.  The ``inference_broker``/``inference_max_batch``/
-    ``inference_coalesce_us`` knobs are excluded as well: where and how
-    network forwards are batched is execution policy (the fixed forward
-    tile keeps broker-mode results invariant to both knobs and to
-    concurrency).  Note the documented caveat: broker mode's tiled
-    forward differs numerically from the untiled broker-off path, so
-    flipping ``inference_broker`` *across a resume* changes leaf
-    evaluations — resume with the toggle you started with.
-    ``exact_topk`` stays IN the fingerprint: a
+    execution knob too.  ``exact_topk`` stays IN the fingerprint: a
     finite K changes which terminal leaves receive exact values, so two
     runs differing in K are different computations.
     """
@@ -112,9 +104,6 @@ _EXECUTION_KNOBS = (
     "terminal_cache_path",
     "verify_results",
     "incremental_legalizer",
-    "inference_broker",
-    "inference_max_batch",
-    "inference_coalesce_us",
 )
 
 #: result-affecting knobs that only the *post-training* stages consume.

@@ -32,12 +32,6 @@ warm_corrupt        job A populates the warm cache and ``warm.corrupt``
                     injection, discards the entry, and runs cold to DONE
 poison              ``trainer.kill`` on every attempt → retries exhaust
                     and the job is QUARANTINED (journalled)
-broker_baseline     broker-on reference run (the shared inference broker
-                    serves every leaf evaluation; fixed-tile numerics)
-broker_kill         ``inference.worker_kill`` hard-kills the broker on
-                    every eval arrival → bounded respawn exhausts,
-                    clients degrade to in-process tiled evaluation; the
-                    job ends DONE with the broker-baseline HPWL
 =================== ========================================================
 
 Used by ``repro chaos``, the CI ``chaos-smoke`` job, and
@@ -102,7 +96,6 @@ def _run_scenario(
     max_retries: int = 2,
     backoff_base: float = 0.05,
     max_seconds: float = 60.0,
-    inference_broker: bool = False,
 ) -> tuple[PlacementService, list, float, FaultPlan]:
     service_dir = os.path.join(root, name)
     service = PlacementService(
@@ -112,7 +105,6 @@ def _run_scenario(
         stall_seconds=stall_seconds,
         max_retries=max_retries,
         backoff_base=backoff_base,
-        inference_broker=inference_broker,
     )
     # A scenario that asks for a real pool (worker_kill) must opt out of
     # the adaptive cpu-count clamp — a 1-core CI host would otherwise
@@ -294,49 +286,6 @@ def run_chaos_drill(
            len(service.supervisor.quarantined()) == 1,
            "quarantine.jsonl has exactly one record")
     finish("poison", service, jobs, elapsed, checks, plan.total_fired())
-
-    # -- broker_baseline: broker-on reference run.  Broker mode runs the
-    # fixed-tile forward, whose results legitimately differ from the
-    # broker-off default above — the kill drill therefore compares
-    # against this broker-on baseline, not the global reference.
-    service, jobs, elapsed, plan = _run_scenario(
-        root, "broker_baseline", [], inference_broker=True, **common,
-    )
-    checks = []
-    job = jobs[0]
-    _check(checks, "terminal", job.terminal, job.state)
-    _check(checks, "done_first_attempt",
-           job.state == DONE and job.attempts == 1,
-           f"state={job.state} attempts={job.attempts}")
-    broker_reference = job.hpwl
-    report["broker_reference_hpwl"] = broker_reference
-    finish("broker_baseline", service, jobs, elapsed, checks,
-           plan.total_fired())
-
-    # -- broker_kill: every broker eval arrival hard-kills the broker
-    # process; the bounded respawn budget exhausts and the clients
-    # degrade to the bitwise-identical in-process tiled path — the job
-    # still ends DONE on attempt 1 with the broker-baseline HPWL.
-    service, jobs, elapsed, plan = _run_scenario(
-        root, "broker_kill",
-        [Fault("inference.worker_kill", at=1, count=None)],
-        inference_broker=True, **common,
-    )
-    checks = []
-    job = jobs[0]
-    _check(checks, "fault_fired",
-           plan.total_fired("inference.worker_kill") >= 1)
-    _check(checks, "terminal", job.terminal, job.state)
-    _check(checks, "done_first_attempt",
-           job.state == DONE and job.attempts == 1,
-           f"state={job.state} attempts={job.attempts}")
-    _check(checks, "hpwl_matches_broker_baseline",
-           broker_reference is not None and job.hpwl == broker_reference,
-           f"{job.hpwl!r} vs broker baseline {broker_reference!r}")
-    _check(checks, "degradation_observed",
-           service.metrics.counter("events_degradation") >= 1,
-           "broker-loss degradation surfaced in the service metrics")
-    finish("broker_kill", service, jobs, elapsed, checks, plan.total_fired())
 
     report["total_seconds"] = round(
         sum(s["seconds"] for s in report["scenarios"]), 3

@@ -137,7 +137,12 @@ class JobSpec:
     #: spec can never alias them.
     overrides: tuple | list | None = None
 
-    def validate(self) -> None:
+    def validate(self):
+        """Check the spec; returns its preset config with the overrides
+        applied, so an unknown or ill-typed knob fails here, at
+        submission, with a :class:`UsageError`."""
+        from repro.core.config import PlacerConfig, apply_overrides
+
         if not self.circuit and not self.aux:
             raise UsageError("job spec needs a circuit name or an aux path")
         if self.preset not in ("fast", "benchmark", "paper"):
@@ -162,6 +167,13 @@ class JobSpec:
                     "job overrides must be (knob_path, value) pairs",
                     overrides=self.overrides,
                 )
+        if self.preset == "paper":
+            config = replace(PlacerConfig.paper(), seed=self.seed)
+        else:
+            config = getattr(PlacerConfig, self.preset)(seed=self.seed)
+        if self.overrides:
+            config = apply_overrides(config, self.overrides)
+        return config
 
     def build_design(self):
         return resolve_design(
@@ -172,17 +184,8 @@ class JobSpec:
         )
 
     def build_config(self, terminal_cache_path: str | None = None):
-        from repro.core.config import PlacerConfig, apply_overrides
-
-        self.validate()
-        if self.preset == "paper":
-            config = replace(PlacerConfig.paper(), seed=self.seed)
-        else:
-            config = getattr(PlacerConfig, self.preset)(seed=self.seed)
-        if self.overrides:
-            config = apply_overrides(config, self.overrides)
         return replace(
-            config,
+            self.validate(),
             terminal_workers=self.terminal_workers,
             terminal_pool_clamp=self.terminal_pool_clamp,
             terminal_cache_path=terminal_cache_path,

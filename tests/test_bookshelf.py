@@ -52,6 +52,21 @@ class TestRoundTrip:
             assert os.path.exists(tmp_path / f"{base}{ext}")
 
 
+def _overwrite_field(path, field: int, value: str) -> int:
+    """Set whitespace field *field* of the first node/pin line of a
+    Bookshelf file to *value*; return that line's 1-based number."""
+    lines = path.read_text().splitlines(keepends=True)
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split()
+        if not parts or parts[0].startswith(("UCLA", "Num", "NetDegree")):
+            continue
+        parts[field] = value
+        lines[lineno - 1] = "  " + " ".join(parts) + "\n"
+        path.write_text("".join(lines))
+        return lineno
+    raise AssertionError(f"no data line in {path}")
+
+
 class TestMalformedInput:
     def test_missing_files_in_aux(self, tmp_path):
         aux = tmp_path / "x.aux"
@@ -71,6 +86,54 @@ class TestMalformedInput:
         nets.write_text("UCLA nets 1.0\n  o_c0 B : 0 0\n")
         with pytest.raises(BookshelfError, match="outside"):
             read_aux(str(tmp_path / f"{placed_design.name}.aux"))
+
+    @pytest.mark.parametrize("ext, field", [
+        (".nodes", 1),  # width
+        (".nodes", 2),  # height
+        (".nets", 3),   # pin dx (fields: node, dir, ':', dx, dy)
+        (".nets", 4),   # pin dy
+        (".pl", 1),     # x
+        (".pl", 2),     # y
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_number_rejected(
+        self, tmp_path, placed_design, ext, field, value
+    ):
+        write_design(placed_design, str(tmp_path))
+        path = tmp_path / f"{placed_design.name}{ext}"
+        lineno = _overwrite_field(path, field, value)
+        with pytest.raises(BookshelfError, match="malformed") as info:
+            read_aux(str(tmp_path / f"{placed_design.name}.aux"))
+        assert info.value.details["file"] == str(path)
+        assert info.value.details["line"] == lineno
+        assert value in info.value.details["text"]
+
+    @pytest.mark.parametrize("field", [1, 2])
+    def test_negative_node_size_rejected(self, tmp_path, placed_design, field):
+        write_design(placed_design, str(tmp_path))
+        path = tmp_path / f"{placed_design.name}.nodes"
+        lineno = _overwrite_field(path, field, "-2")
+        with pytest.raises(BookshelfError, match="negative node size") as info:
+            read_aux(str(tmp_path / f"{placed_design.name}.aux"))
+        assert info.value.details["file"] == str(path)
+        assert info.value.details["line"] == lineno
+
+    @pytest.mark.parametrize("value", ["nan", "-2"])
+    def test_cli_exits_structured_on_bad_node_size(
+        self, tmp_path, capsys, placed_design, value
+    ):
+        from repro.cli import main
+
+        aux = write_design(placed_design, str(tmp_path))
+        _overwrite_field(tmp_path / f"{placed_design.name}.nodes", 1, value)
+        assert main(["place", "--aux", aux, "--preset", "fast"]) == 10
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and ".nodes" in err
+
+    def test_zero_node_size_still_accepted(self, tmp_path, placed_design):
+        write_design(placed_design, str(tmp_path))
+        _overwrite_field(tmp_path / f"{placed_design.name}.nodes", 1, "0")
+        read_aux(str(tmp_path / f"{placed_design.name}.aux"))
 
     def test_scl_without_rows_rejected(self, tmp_path, placed_design):
         write_design(placed_design, str(tmp_path))

@@ -25,7 +25,11 @@ from repro.core.config import PlacerConfig as PC
 from repro.netlist.generator import generate_design
 from repro.runtime import faults as fault_mod
 from repro.runtime.budget import StageBudget
-from repro.runtime.checkpoint import RunDir, config_fingerprint
+from repro.runtime.checkpoint import (
+    RunDir,
+    config_fingerprint,
+    pretraining_fingerprint,
+)
 from repro.runtime.errors import (
     CalibrationError,
     FaultInjected,
@@ -305,6 +309,22 @@ class TestRunDir:
         c = config_fingerprint(_cfg(episodes=7))
         assert a == b
         assert a != c
+
+    @pytest.mark.parametrize("preset, config_fp, pretraining_fp", [
+        ("default", "7dc68bf2b125e8dc", "0373292c0b706c9a"),
+        ("fast", "bb3e8143b90c7383", "4e7cc14686b0f1ab"),
+        ("benchmark", "5ca3003f2a0a2958", "00148b856996f1c7"),
+        ("paper", "34d6b40b0349990b", "59b78256cf93485e"),
+    ])
+    def test_preset_fingerprints_are_golden(
+        self, preset, config_fp, pretraining_fp
+    ):
+        # Existing run dirs, warm caches and study journals are keyed on
+        # these hashes; adding or deleting an execution knob must not
+        # move them.
+        cfg = PC() if preset == "default" else getattr(PC, preset)()
+        assert config_fingerprint(cfg) == config_fp
+        assert pretraining_fingerprint(cfg) == pretraining_fp
 
     def test_resume_with_other_config_rejected(self, tmp_path):
         d = str(tmp_path / "run")

@@ -82,6 +82,15 @@ class TestJobSpec:
         with pytest.raises(UsageError):
             JobSpec(circuit="ibm01", preset="huge").validate()
 
+    def test_validate_rejects_unknown_knob(self, tmp_path):
+        spec = JobSpec(circuit="ibm01", overrides=(("no_such_knob", True),))
+        with pytest.raises(UsageError, match="unknown config knob"):
+            spec.validate()
+        sdir = str(tmp_path / "svc")
+        with pytest.raises(UsageError, match="unknown config knob"):
+            submit_job(sdir, spec)
+        assert not os.path.exists(ServicePaths(sdir).inbox)
+
     def test_json_roundtrip_ignores_unknown_keys(self):
         spec = JobSpec(circuit="ibm01", seed=9, budget_seconds=3.5)
         payload = dict(spec.to_json(), future_field="ignored")
@@ -327,6 +336,32 @@ class TestAdmissionAndCancel:
         assert service.metrics.counter("cancel_refused") == 1
         service.run(drain=True)
         assert service.store.get(job_id).state == CANCELLED
+
+    @pytest.mark.parametrize("spec, kind, exit_code", [
+        ({"circuit": "ibm01", "preset": "fast",
+          "overrides": [["no_such_knob", True]]}, "UsageError", 64),
+        ({"aux": "no/such/design.aux", "preset": "fast"},
+         "BookshelfError", 10),
+    ])
+    def test_unbuildable_spec_fails_instead_of_hanging(
+        self, tmp_path, spec, kind, exit_code
+    ):
+        # Dropped straight into the inbox, past submit_job's validation,
+        # as a submission from an older client would be.
+        sdir = str(tmp_path / "svc")
+        paths = ServicePaths(sdir).ensure()
+        with open(os.path.join(paths.inbox, "0-job-bad.json"), "w") as f:
+            json.dump({"id": "job-bad", "spec": spec}, f)
+        service = PlacementService(sdir, workers=1, poll_interval=0.01)
+        service.run(drain=True, max_seconds=30)
+
+        job = service.store.get("job-bad")
+        assert job.state == FAILED
+        result = read_result(sdir, "job-bad")
+        assert result["state"] == FAILED
+        assert result["error"]["kind"] == kind
+        assert result["error"]["exit_code"] == exit_code
+        assert service.metrics.counter("jobs_failed") == 1
 
     def test_stop_file_ends_the_daemon(self, aux_path, tmp_path):
         sdir = str(tmp_path / "svc")
