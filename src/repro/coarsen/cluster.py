@@ -14,6 +14,17 @@ which Eq. 1/Eq. 2 can actually produce large scores (connectivity w and
 inverse distance 1/ΔD).  The same restriction is used by practical
 clustering implementations; it is exact for the top-score pair whenever
 that pair is connected or spatially adjacent.
+
+Neighbour queries.  The initial k-nearest pairs come from one KD-tree
+query over the seeds.  After each merge the new group's k nearest live
+groups are found by one vectorized pass over centroid arrays that hold a
+slot per group in creation order (seeds in the order given, then each
+merged group), with dead slots masked out.  Distances are squared
+Euclidean, ``dx*dx + dy*dy``.  Ties are broken deterministically:
+smaller distance first, then earlier creation slot.  Only the *set* of
+neighbours feeds the heap, so this matches a per-merge KD-tree query
+whenever no other group ties the k-th nearest distance exactly; on such a
+tie a KD-tree's pick is implementation-defined.
 """
 
 from __future__ import annotations
@@ -89,6 +100,29 @@ def _build_connectivity(
     return conn
 
 
+def nearest_slots(
+    xs: np.ndarray, ys: np.ndarray, live: np.ndarray, s: int, k: int
+) -> np.ndarray:
+    """The *k* slots nearest slot *s* among the *live* ones, *s* excluded.
+
+    Distance is squared Euclidean, ``dx*dx + dy*dy``.  Ties go to the
+    earlier slot.  Returns every candidate slot, ascending, when there are
+    at most *k* of them; otherwise the order is unspecified.
+    """
+    live = live.copy()
+    live[s] = False
+    cand = np.flatnonzero(live)
+    if len(cand) <= k:
+        return cand
+    dx = xs[cand] - xs[s]
+    dy = ys[cand] - ys[s]
+    d = dx * dx + dy * dy
+    kth = np.partition(d, k - 1)[k - 1]
+    closer = cand[d < kth]
+    tied = cand[d == kth][: k - len(closer)]
+    return np.concatenate((closer, tied))
+
+
 def greedy_cluster(
     seeds: list[Group],
     nets: list[Net],
@@ -121,17 +155,33 @@ def greedy_cluster(
         if s >= threshold:
             heapq.heappush(heap, (-s, a, b))
 
+    # One slot per group in creation order (the order of ``groups``); a
+    # merge kills two slots and appends one, so ``2 * len(groups)`` slots
+    # always suffice.
+    capacity = 2 * len(groups)
+    xs = np.empty(capacity)
+    ys = np.empty(capacity)
+    alive = np.zeros(capacity, dtype=bool)
+    gid_of_slot = np.empty(capacity, dtype=np.int64)
+    slot_of_gid: dict[int, int] = {}
+    n_slots = 0
+
+    def add_slot(g: Group) -> None:
+        nonlocal n_slots
+        xs[n_slots], ys[n_slots] = g.cx, g.cy
+        alive[n_slots] = True
+        gid_of_slot[n_slots] = g.gid
+        slot_of_gid[g.gid] = n_slots
+        n_slots += 1
+
+    for g in groups.values():
+        add_slot(g)
+
     def spatial_neighbors(gid: int, k: int) -> list[int]:
-        active = [g for g in groups.values() if g.gid != gid]
-        if not active:
-            return []
-        pts = np.array([[g.cx, g.cy] for g in active])
-        tree = cKDTree(pts)
-        g = groups[gid]
-        k_eff = min(k, len(active))
-        _, idx = tree.query([g.cx, g.cy], k=k_eff)
-        idx = np.atleast_1d(idx)
-        return [active[int(i)].gid for i in idx]
+        slots = nearest_slots(
+            xs[:n_slots], ys[:n_slots], alive[:n_slots], slot_of_gid[gid], k
+        )
+        return gid_of_slot[slots].tolist()
 
     # Seed the heap: connected pairs + k-nearest spatial pairs.
     for gid in list(groups):
@@ -169,6 +219,9 @@ def greedy_cluster(
         next_gid += 1
         del groups[a], groups[b]
         groups[merged.gid] = merged
+        alive[slot_of_gid.pop(a)] = False
+        alive[slot_of_gid.pop(b)] = False
+        add_slot(merged)
         conn.merge(a, b, merged.gid)
 
         for nb in conn.neighbors(merged.gid):

@@ -285,7 +285,7 @@ class MCTSGuidedPlacer:
                 )
                 budget.check()
 
-        # -- stage 2: preprocess (cheap derivation; recomputed on resume) --------
+        # -- stage 2: preprocess (pure derivation; recomputed on resume) ---------
         recompute = ctx.completed("preprocess")
         with ctx.guard("preprocess"):
             with stopwatch.measure("preprocess"):

@@ -13,10 +13,20 @@ multi-pin net must first be decomposed into two-point connections:
 The result is the (Laplacian) normal-equation system ``A x = b_x`` /
 ``A y = b_y`` over movable nodes (plus star nodes), with fixed-node terms
 folded into the right-hand side.
+
+Entry order is part of the contract.  The matrix is assembled from COO
+triplets, and COO→CSR sums duplicate entries in input order, so the
+triplets are emitted in the order of a plain nested loop: net by net; within
+a clique net pin pair ``(a, b)``, ``a < b``, row-major; within a star net pin
+by pin; within one pair or pin the sub-entries as listed below.  ``b_x`` /
+``b_y`` are accumulated from 0.0 in that same order.  Any other order can
+change ``A.data`` in the last bit, and the factorization cache
+(:mod:`repro.gp.quadratic`) keys on the matrix bytes.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +52,15 @@ class QuadraticSystem:
     n_star: int
 
 
+@functools.lru_cache(maxsize=64)
+def _pair_table(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pin pairs ``(a, b)``, ``a < b``, of a *k*-pin clique in row-major order."""
+    ia, ib = np.triu_indices(k, 1)
+    ia.setflags(write=False)
+    ib.setflags(write=False)
+    return ia, ib
+
+
 def build_quadratic_system(
     flat: FlatNetlist,
     movable_mask: np.ndarray,
@@ -54,6 +73,17 @@ def build_quadratic_system(
     current centers.  Nets whose pins are all fixed contribute nothing.
     Nets of degree <= *clique_threshold* use the clique model, larger nets
     the star model.
+
+    Every two-point connection (a clique pair or a star pin) is one *unit*
+    of up to four triplets.  Units are placed at their position in the
+    module's entry order, so degree groups can be built in any order:
+
+    - clique pair ``(u, v)`` of weight ``w``: both movable gives
+      ``(u,u,w) (v,v,w) (u,v,-w) (v,u,-w)``; one end movable gives its
+      diagonal ``w`` plus ``w·`` (other end's center) on the right-hand side;
+    - star pin ``u`` of star ``s``: ``(s,s,w)``, then ``(u,u,w) (u,s,-w)
+      (s,u,-w)`` if the pin is movable, else ``w·`` (pin center) on ``b[s]``
+      when ``w > 0``.
     """
     if movable_mask.shape != (flat.n_nodes,):
         raise ValueError("movable_mask must have one entry per node")
@@ -62,102 +92,105 @@ def build_quadratic_system(
     unknown_of_node = -np.ones(flat.n_nodes, dtype=np.int64)
     unknown_of_node[movable] = np.arange(n_mov)
 
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    n_star = 0
-    star_rows: list[tuple[int, list[int], list[float], float]] = []
-
-    # Pre-extract per-net pin slices once.
     fx = flat.cx
     fy = flat.cy
+    ptr = flat.net_ptr
+    deg = np.diff(ptr)
+    w_net = np.asarray(flat.net_weight, dtype=np.float64)
+    pin_node = flat.pin_node
+    pin_unknown = unknown_of_node[pin_node]
+    net_of_pin = np.repeat(np.arange(flat.n_nets), deg)
+    has_movable = np.bincount(net_of_pin[pin_unknown >= 0], minlength=flat.n_nets) > 0
+    # ``~(w <= min)``, not ``w > min``: a NaN weight is assembled, not skipped.
+    live = ~(w_net <= min_weight) & (deg >= 2) & has_movable
+    clique = live & (deg <= clique_threshold)
+    star = live & (deg > clique_threshold)
 
-    bx_fixed: dict[int, float] = {}
-    by_fixed: dict[int, float] = {}
+    units_per_net = np.where(clique, deg * (deg - 1) // 2, np.where(star, deg, 0))
+    unit_start = np.cumsum(units_per_net) - units_per_net
+    n_units = int(units_per_net.sum())
+    # Slot-major tables: column ``i`` holds unit ``i``'s four triplets.
+    rows = np.empty((4, n_units), dtype=np.int64)
+    cols = np.empty((4, n_units), dtype=np.int64)
+    vals = np.empty((4, n_units))
+    keep = np.empty((4, n_units), dtype=bool)
+    b_idx = np.empty(n_units, dtype=np.int64)
+    b_x = np.empty(n_units)
+    b_y = np.empty(n_units)
+    b_keep = np.empty(n_units, dtype=bool)
 
-    def add_pair(u: int, v: int, w: float, xu: float, yu: float, xv: float, yv: float):
-        """Add a weighted two-point connection between unknowns/fixeds."""
-        if u >= 0 and v >= 0:
-            rows.extend((u, v, u, v))
-            cols.extend((u, v, v, u))
-            vals.extend((w, w, -w, -w))
-        elif u >= 0:
-            rows.append(u)
-            cols.append(u)
-            vals.append(w)
-            bx_fixed[u] = bx_fixed.get(u, 0.0) + w * xv
-            by_fixed[u] = by_fixed.get(u, 0.0) + w * yv
-        elif v >= 0:
-            rows.append(v)
-            cols.append(v)
-            vals.append(w)
-            bx_fixed[v] = bx_fixed.get(v, 0.0) + w * xu
-            by_fixed[v] = by_fixed.get(v, 0.0) + w * yu
-        # both fixed: constant term, ignore
+    def fill(pos, r, c, w, k, bi, bx_val, by_val, bk) -> None:
+        for j in range(4):
+            rows[j, pos] = r[j]
+            cols[j, pos] = c[j]
+            vals[j, pos] = w if j < 2 else -w
+            keep[j, pos] = k[j]
+        b_idx[pos] = bi
+        b_x[pos] = bx_val
+        b_y[pos] = by_val
+        b_keep[pos] = bk
 
-    for net_idx in range(flat.n_nets):
-        lo = int(flat.net_ptr[net_idx])
-        hi = int(flat.net_ptr[net_idx + 1])
-        nodes = flat.pin_node[lo:hi]
-        k = hi - lo
-        w_net = float(flat.net_weight[net_idx])
-        if w_net <= min_weight or k < 2:
-            continue
-        unknowns = unknown_of_node[nodes]
-        if np.all(unknowns < 0):
-            continue
-        if k <= clique_threshold:
-            w = w_net / (k - 1)
-            for a in range(k):
-                for b in range(a + 1, k):
-                    na, nb = int(nodes[a]), int(nodes[b])
-                    add_pair(
-                        int(unknowns[a]),
-                        int(unknowns[b]),
-                        w,
-                        fx[na],
-                        fy[na],
-                        fx[nb],
-                        fy[nb],
-                    )
-        else:
-            # Star: auxiliary unknown at index n_mov + star_id.
-            w = w_net * k / (k - 1)
-            star_id = n_mov + n_star
-            n_star += 1
-            neighbor_unknowns: list[int] = []
-            neighbor_weights: list[float] = []
-            fixed_x = fixed_y = 0.0
-            fixed_w = 0.0
-            for a in range(k):
-                ua = int(unknowns[a])
-                na = int(nodes[a])
-                rows.extend((star_id,))
-                cols.extend((star_id,))
-                vals.extend((w,))
-                if ua >= 0:
-                    rows.extend((ua, ua, star_id))
-                    cols.extend((ua, star_id, ua))
-                    vals.extend((w, -w, -w))
-                    neighbor_unknowns.append(ua)
-                    neighbor_weights.append(w)
-                else:
-                    fixed_x += w * fx[na]
-                    fixed_y += w * fy[na]
-                    fixed_w += w
-            star_rows.append((star_id, neighbor_unknowns, neighbor_weights, fixed_w))
-            if fixed_w > 0:
-                bx_fixed[star_id] = bx_fixed.get(star_id, 0.0) + fixed_x
-                by_fixed[star_id] = by_fixed.get(star_id, 0.0) + fixed_y
+    for k in np.unique(deg[clique]):
+        nets = np.flatnonzero(clique & (deg == k))
+        ia, ib = _pair_table(int(k))
+        pa = (ptr[nets, None] + ia).ravel()
+        pb = (ptr[nets, None] + ib).ravel()
+        pos = (unit_start[nets, None] + np.arange(len(ia))).ravel()
+        w = np.repeat(w_net[nets] / (k - 1), len(ia))
+        u, v = pin_unknown[pa], pin_unknown[pb]
+        mu, mv = u >= 0, v >= 0
+        both = mu & mv
+        # With one end movable, the diagonal lands on it and the other
+        # (fixed) end's center goes to the right-hand side.
+        d = np.where(mu, u, v)
+        other = np.where(mu, pin_node[pb], pin_node[pa])
+        fill(
+            pos,
+            (d, v, u, v),
+            (d, v, v, u),
+            w,
+            (mu | mv, both, both, both),
+            d,
+            w * fx[other],
+            w * fy[other],
+            mu ^ mv,
+        )
+
+    # Star: auxiliary unknown n_mov + (rank of the net among star nets).
+    star_nets = np.flatnonzero(star)
+    n_star = len(star_nets)
+    if n_star:
+        star_of_net = np.full(flat.n_nets, -1, dtype=np.int64)
+        star_of_net[star_nets] = n_mov + np.arange(n_star)
+        w_star = np.zeros(flat.n_nets)
+        w_star[star_nets] = w_net[star_nets] * deg[star_nets] / (deg[star_nets] - 1)
+        p = np.flatnonzero(star[net_of_pin])
+        net = net_of_pin[p]
+        s = star_of_net[net]
+        w = w_star[net]
+        u = pin_unknown[p]
+        mu = u >= 0
+        fill(
+            unit_start[net] + (p - ptr[net]),
+            (s, u, u, s),
+            (s, u, s, u),
+            w,
+            (np.ones_like(mu), mu, mu, mu),
+            s,
+            w * fx[pin_node[p]],
+            w * fy[pin_node[p]],
+            ~mu & (w > 0),
+        )
 
     n = n_mov + n_star
+    # Transposing back to unit-major order gives the triplets in entry order.
+    kept = keep.T.ravel()
     A = sp.coo_matrix(
-        (np.asarray(vals), (np.asarray(rows), np.asarray(cols))), shape=(n, n)
+        (vals.T.ravel()[kept], (rows.T.ravel()[kept], cols.T.ravel()[kept])),
+        shape=(n, n),
     ).tocsr()
     bx = np.zeros(n)
     by = np.zeros(n)
-    for i, v in bx_fixed.items():
-        bx[i] = v
-    for i, v in by_fixed.items():
-        by[i] = v
+    np.add.at(bx, b_idx[b_keep], b_x[b_keep])
+    np.add.at(by, b_idx[b_keep], b_y[b_keep])
     return QuadraticSystem(A=A, bx=bx, by=by, movable=movable, n_star=n_star)

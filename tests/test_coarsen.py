@@ -1,12 +1,20 @@
 """Coarsening tests: scores Γ/φ, greedy clustering, coarse netlist."""
 
+import heapq
+import math
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+import repro.coarsen.cluster as cluster_mod
 from repro.coarsen.cluster import (
+    _build_connectivity,
+    _Connectivity,
     cluster_cells,
     cluster_macros,
     greedy_cluster,
+    nearest_slots,
     singleton_groups,
 )
 from repro.coarsen.coarse import coarsen_design
@@ -17,8 +25,10 @@ from repro.coarsen.scores import (
     gamma_score,
     phi_score,
 )
+from repro.gp.mixed_size import MixedSizePlacer
 from repro.grid.plan import GridPlan
 from repro.netlist.model import Macro, Net, Pin
+from repro.netlist.suites import make_iccad04_circuit, make_industrial_circuit
 
 
 def make_group(gid, cx, cy, area=10.0, hierarchy="", kind=GroupKind.MACRO):
@@ -242,3 +252,198 @@ class TestCoarsenDesign:
             assert ax == pytest.approx(bx)
             assert ay == pytest.approx(by)
         assert (g.cx, g.cy) == (12.3, 4.5)
+
+
+def _reference_greedy_cluster(seeds, nets, score_fn, max_area, threshold, k_spatial=6):
+    """Test oracle: the greedy loop with a KD-tree rebuilt after every merge.
+
+    This is the implementation the vectorized neighbour query replaced,
+    kept verbatim so the two can be compared on real designs.
+    """
+    groups = {g.gid: g for g in seeds}
+    next_gid = max(groups, default=-1) + 1
+    group_of_node = {name: g.gid for g in seeds for name in g.members}
+    conn = _Connectivity()
+    if nets:
+        conn = _build_connectivity(nets, group_of_node)
+
+    heap = []
+
+    def push_pair(a, b):
+        ga, gb = groups.get(a), groups.get(b)
+        if ga is None or gb is None:
+            return
+        if ga.area + gb.area > max_area:
+            return
+        s = score_fn(ga, gb, conn.weight(a, b))
+        if s >= threshold:
+            heapq.heappush(heap, (-s, a, b))
+
+    def spatial_neighbors(gid, k):
+        active = [g for g in groups.values() if g.gid != gid]
+        if not active:
+            return []
+        pts = np.array([[g.cx, g.cy] for g in active])
+        tree = cKDTree(pts)
+        g = groups[gid]
+        k_eff = min(k, len(active))
+        _, idx = tree.query([g.cx, g.cy], k=k_eff)
+        idx = np.atleast_1d(idx)
+        return [active[int(i)].gid for i in idx]
+
+    for gid in list(groups):
+        for nb in conn.neighbors(gid):
+            if gid < nb:
+                push_pair(gid, nb)
+    if k_spatial > 0 and len(groups) > 1:
+        pts = np.array([[g.cx, g.cy] for g in groups.values()])
+        gids = list(groups)
+        tree = cKDTree(pts)
+        k_eff = min(k_spatial + 1, len(gids))
+        _, nbrs = tree.query(pts, k=k_eff)
+        nbrs = np.atleast_2d(nbrs)
+        for i, row in enumerate(nbrs):
+            for j in np.atleast_1d(row):
+                a, b = gids[i], gids[int(j)]
+                if a < b:
+                    push_pair(a, b)
+
+    while heap:
+        neg_s, a, b = heapq.heappop(heap)
+        ga, gb = groups.get(a), groups.get(b)
+        if ga is None or gb is None:
+            continue
+        s = score_fn(ga, gb, conn.weight(a, b))
+        if s < threshold or ga.area + gb.area > max_area:
+            continue
+        if s < -neg_s - 1e-12:
+            heapq.heappush(heap, (-s, a, b))
+            continue
+
+        merged = ga.merged_with(gb, next_gid)
+        next_gid += 1
+        del groups[a], groups[b]
+        groups[merged.gid] = merged
+        conn.merge(a, b, merged.gid)
+
+        for nb in conn.neighbors(merged.gid):
+            lo, hi = min(merged.gid, nb), max(merged.gid, nb)
+            push_pair(lo, hi)
+        if k_spatial > 0:
+            for nb in spatial_neighbors(merged.gid, k_spatial):
+                lo, hi = min(merged.gid, nb), max(merged.gid, nb)
+                push_pair(lo, hi)
+
+    return sorted(groups.values(), key=lambda g: g.gid)
+
+
+def _partition(groups):
+    return [(g.gid, tuple(g.members), g.cx, g.cy, g.area) for g in groups]
+
+
+def _coarse_signature(coarse):
+    groups = [(tuple(g.members), g.cx, g.cy, g.area) for g in coarse.all_groups]
+    nets = [(n.groups, n.weight) for n in coarse.coarse_nets]
+    return groups, nets
+
+
+class TestNeighbourQueryEquivalence:
+    """The per-merge neighbour query reproduces the per-merge KD-tree."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: make_iccad04_circuit("ibm01").design, id="ibm01"),
+            pytest.param(
+                lambda: make_iccad04_circuit("ibm01", seed_offset=3).design,
+                id="ibm01+3",
+            ),
+            pytest.param(
+                lambda: make_iccad04_circuit("ibm01", seed_offset=11).design,
+                id="ibm01+11",
+            ),
+            pytest.param(lambda: make_iccad04_circuit("ibm10").design, id="ibm10"),
+            pytest.param(
+                lambda: make_industrial_circuit("Cir2", scale=0.0004).design,
+                id="Cir2-small",
+            ),
+        ],
+    )
+    def test_coarsen_design_matches_kdtree_reference(self, make, monkeypatch):
+        design = make()
+        MixedSizePlacer(n_iterations=2).place(design)
+        plan = GridPlan(design.region, zeta=8)
+        got = _coarse_signature(coarsen_design(design, plan))
+        monkeypatch.setattr(cluster_mod, "greedy_cluster", _reference_greedy_cluster)
+        want = _coarse_signature(coarsen_design(design, plan))
+        assert got == want
+        assert len(got[0]) < len(design.netlist)  # merges actually happened
+
+    @pytest.mark.parametrize("gids", [[9, 4, 17, 2, 30, 11], [5, 3, 1, 0, 2, 4]])
+    def test_unsorted_and_gapped_gids(self, gids):
+        rng = np.random.default_rng(sum(gids))
+        seeds = [
+            make_group(gid, *rng.uniform(0, 50, size=2), area=4.0) for gid in gids
+        ]
+        seeds += [
+            make_group(100 + i, *rng.uniform(0, 50, size=2), area=4.0)
+            for i in range(30)
+        ]
+        nets = [
+            Net(f"e{i}", pins=[Pin(f"n{a}"), Pin(f"n{b}")], weight=1.0)
+            for i, (a, b) in enumerate(zip(gids, gids[1:] + [100]))
+        ]
+        score = lambda a, b, w: phi_score(a, b, w)  # noqa: E731
+        kwargs = dict(max_area=20.0, threshold=0.01, k_spatial=3)
+        got = greedy_cluster(seeds, nets, score, **kwargs)
+        want = _reference_greedy_cluster(seeds, nets, score, **kwargs)
+        assert _partition(got) == _partition(want)
+        assert len(got) < len(seeds)
+
+
+class TestNearestSlotsTieRule:
+    def test_coincident_points_pick_earlier_slots(self):
+        xs = np.zeros(6)
+        ys = np.zeros(6)
+        live = np.ones(6, dtype=bool)
+        assert sorted(nearest_slots(xs, ys, live, 2, 3).tolist()) == [0, 1, 3]
+
+    def test_dead_slots_and_self_are_skipped(self):
+        xs = np.array([0.0, 1.0, 1.0, 1.0, 1.0, 5.0])
+        ys = np.zeros(6)
+        live = np.array([True, True, False, True, True, True])
+        got = nearest_slots(xs, ys, live, 0, 2)
+        assert sorted(got.tolist()) == [1, 3]  # slot 2 ties too, but is dead
+
+    def test_distance_beats_slot(self):
+        xs = np.array([0.0, 3.0, 2.0, 1.0])
+        ys = np.zeros(4)
+        live = np.ones(4, dtype=bool)
+        assert sorted(nearest_slots(xs, ys, live, 0, 2).tolist()) == [2, 3]
+
+    def test_fewer_candidates_than_k(self):
+        xs = np.arange(4.0)
+        ys = np.zeros(4)
+        live = np.array([True, False, True, True])
+        assert nearest_slots(xs, ys, live, 3, 6).tolist() == [0, 2]
+
+    def test_merge_neighbour_tie_goes_to_earlier_created_group(self):
+        # n0 and n1 merge first (connected); their merged centroid (1, 0) is
+        # equidistant from the coincident groups gid 7 and gid 3.  With one
+        # spatial neighbour per merge, only the earlier-created one (gid 7,
+        # listed first) is offered, although its gid is larger.
+        seeds = [
+            make_group(0, 0.0, 0.0, area=1.0),
+            make_group(1, 2.0, 0.0, area=1.0),
+            make_group(7, 1.0, 5.0, area=5.0),
+            make_group(3, 1.0, 5.0, area=5.0),
+        ]
+        nets = [Net("e", pins=[Pin("n0"), Pin("n1")], weight=1.0)]
+
+        def score(a, b, w):
+            return 1.0 / max(math.hypot(a.cx - b.cx, a.cy - b.cy), 1e-6) + 10.0 * w
+
+        out = greedy_cluster(
+            seeds, nets, score, max_area=7.0, threshold=0.01, k_spatial=1
+        )
+        assert sorted(sorted(g.members) for g in out) == [["n0", "n1", "n7"], ["n3"]]

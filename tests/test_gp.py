@@ -3,13 +3,14 @@ mixed-size placer)."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.gp.mixed_size import (
     MixedSizePlacer,
     legalize_macros_greedy,
     place_cells_with_fixed_macros,
 )
-from repro.gp.netmodel import build_quadratic_system
+from repro.gp.netmodel import QuadraticSystem, build_quadratic_system
 from repro.gp.quadratic import solve_quadratic_placement
 from repro.gp.spreading import blocked_area_grid, spread_step
 from repro.eval.metrics import macro_overlap_area
@@ -23,6 +24,7 @@ from repro.netlist.model import (
     Pin,
     PlacementRegion,
 )
+from repro.netlist.suites import make_iccad04_circuit
 
 
 def two_fixed_one_free() -> Netlist:
@@ -110,6 +112,187 @@ class TestQuadraticSystem:
             (small_design.region.width / 2, small_design.region.height / 2),
         )
         assert flat.total_hpwl() < before
+
+
+def _reference_build_quadratic_system(
+    flat, movable_mask, clique_threshold=6, min_weight=1e-9
+):
+    """Test oracle: the per-net loop with an ``add_pair`` closure.
+
+    This is the implementation the array assembly replaced, kept verbatim
+    so the two can be compared byte for byte.
+    """
+    if movable_mask.shape != (flat.n_nodes,):
+        raise ValueError("movable_mask must have one entry per node")
+    movable = np.flatnonzero(movable_mask)
+    n_mov = len(movable)
+    unknown_of_node = -np.ones(flat.n_nodes, dtype=np.int64)
+    unknown_of_node[movable] = np.arange(n_mov)
+
+    rows, cols, vals = [], [], []
+    n_star = 0
+    fx = flat.cx
+    fy = flat.cy
+    bx_fixed = {}
+    by_fixed = {}
+
+    def add_pair(u, v, w, xu, yu, xv, yv):
+        if u >= 0 and v >= 0:
+            rows.extend((u, v, u, v))
+            cols.extend((u, v, v, u))
+            vals.extend((w, w, -w, -w))
+        elif u >= 0:
+            rows.append(u)
+            cols.append(u)
+            vals.append(w)
+            bx_fixed[u] = bx_fixed.get(u, 0.0) + w * xv
+            by_fixed[u] = by_fixed.get(u, 0.0) + w * yv
+        elif v >= 0:
+            rows.append(v)
+            cols.append(v)
+            vals.append(w)
+            bx_fixed[v] = bx_fixed.get(v, 0.0) + w * xu
+            by_fixed[v] = by_fixed.get(v, 0.0) + w * yu
+
+    for net_idx in range(flat.n_nets):
+        lo = int(flat.net_ptr[net_idx])
+        hi = int(flat.net_ptr[net_idx + 1])
+        nodes = flat.pin_node[lo:hi]
+        k = hi - lo
+        w_net = float(flat.net_weight[net_idx])
+        if w_net <= min_weight or k < 2:
+            continue
+        unknowns = unknown_of_node[nodes]
+        if np.all(unknowns < 0):
+            continue
+        if k <= clique_threshold:
+            w = w_net / (k - 1)
+            for a in range(k):
+                for b in range(a + 1, k):
+                    na, nb = int(nodes[a]), int(nodes[b])
+                    add_pair(int(unknowns[a]), int(unknowns[b]), w,
+                             fx[na], fy[na], fx[nb], fy[nb])
+        else:
+            w = w_net * k / (k - 1)
+            star_id = n_mov + n_star
+            n_star += 1
+            fixed_x = fixed_y = 0.0
+            fixed_w = 0.0
+            for a in range(k):
+                ua = int(unknowns[a])
+                na = int(nodes[a])
+                rows.append(star_id)
+                cols.append(star_id)
+                vals.append(w)
+                if ua >= 0:
+                    rows.extend((ua, ua, star_id))
+                    cols.extend((ua, star_id, ua))
+                    vals.extend((w, -w, -w))
+                else:
+                    fixed_x += w * fx[na]
+                    fixed_y += w * fy[na]
+                    fixed_w += w
+            if fixed_w > 0:
+                bx_fixed[star_id] = bx_fixed.get(star_id, 0.0) + fixed_x
+                by_fixed[star_id] = by_fixed.get(star_id, 0.0) + fixed_y
+
+    n = n_mov + n_star
+    A = sp.coo_matrix(
+        (np.asarray(vals), (np.asarray(rows), np.asarray(cols))), shape=(n, n)
+    ).tocsr()
+    bx = np.zeros(n)
+    by = np.zeros(n)
+    for i, v in bx_fixed.items():
+        bx[i] = v
+    for i, v in by_fixed.items():
+        by[i] = v
+    return QuadraticSystem(A=A, bx=bx, by=by, movable=movable, n_star=n_star)
+
+
+def _assert_systems_identical(got, want):
+    assert got.A.shape == want.A.shape
+    for name in ("indptr", "indices", "data"):
+        g, w = getattr(got.A, name), getattr(want.A, name)
+        assert g.dtype == w.dtype, name
+        assert g.tobytes() == w.tobytes(), name
+    for name in ("bx", "by", "movable"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype, name
+        assert g.tobytes() == w.tobytes(), name
+    assert got.n_star == want.n_star
+
+
+def _awkward_netlist(seed: int) -> Netlist:
+    """Random nets of degree 2-10, some listing a node twice, with zero,
+    negative and sub-threshold weights, plus a net over fixed nodes only."""
+    rng = np.random.default_rng(seed)
+    nl = Netlist()
+    n_nodes = 40
+    for i in range(n_nodes):
+        nl.add_node(Cell(f"c{i}", 1.0, 1.0, x=float(rng.uniform(-50, 50)),
+                         y=float(rng.uniform(0, 80)), fixed=i < 6))
+    weights = [1.0, 2.5, 0.3, 0.0, -1.0, 1e-12]
+    for j in range(60):
+        k = int(rng.integers(2, 11))
+        members = [int(x) for x in rng.choice(n_nodes, size=k, replace=False)]
+        if j % 7 == 0:
+            members[-1] = members[0]  # the same node on two pins
+        nl.add_net(Net(f"n{j}", pins=[Pin(f"c{m}") for m in members],
+                       weight=weights[j % len(weights)]))
+    nl.add_net(Net("all_fixed", pins=[Pin(f"c{i}") for i in range(6)]))
+    return nl
+
+
+class TestQuadraticAssemblyEquivalence:
+    """Array assembly reproduces the per-net loop byte for byte."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("clique_threshold", [1, 2, 6])
+    @pytest.mark.parametrize("min_weight", [1e-9, -np.inf])
+    def test_random_masks_on_awkward_nets(self, seed, clique_threshold, min_weight):
+        flat = FlatNetlist(_awkward_netlist(seed))
+        rng = np.random.default_rng(100 + seed)
+        masks = [rng.random(flat.n_nodes) < p for p in (0.1, 0.5, 0.9)]
+        masks += [~flat.fixed, np.ones(flat.n_nodes, dtype=bool)]
+        for mask in masks:
+            _assert_systems_identical(
+                build_quadratic_system(flat, mask, clique_threshold, min_weight),
+                _reference_build_quadratic_system(
+                    flat, mask, clique_threshold, min_weight
+                ),
+            )
+
+    @pytest.mark.parametrize("clique_threshold", [1, 2, 6])
+    def test_all_fixed_mask(self, clique_threshold):
+        flat = FlatNetlist(_awkward_netlist(3))
+        mask = np.zeros(flat.n_nodes, dtype=bool)
+        got = build_quadratic_system(flat, mask, clique_threshold)
+        _assert_systems_identical(
+            got, _reference_build_quadratic_system(flat, mask, clique_threshold)
+        )
+        assert got.A.shape == (0, 0)
+
+    def test_degree_two_nets(self):
+        flat = FlatNetlist(two_fixed_one_free())
+        for threshold in (1, 2, 6):
+            for mask in (~flat.fixed, np.ones(3, dtype=bool)):
+                _assert_systems_identical(
+                    build_quadratic_system(flat, mask, threshold),
+                    _reference_build_quadratic_system(flat, mask, threshold),
+                )
+
+    @pytest.mark.parametrize("clique_threshold", [1, 2, 6])
+    def test_suite_design_random_masks(self, clique_threshold):
+        flat = FlatNetlist(make_iccad04_circuit("ibm01").design.netlist)
+        rng = np.random.default_rng(clique_threshold)
+        flat.cx[:] = rng.uniform(0, 1000, flat.n_nodes)
+        flat.cy[:] = rng.uniform(0, 1000, flat.n_nodes)
+        for _ in range(10):
+            mask = rng.random(flat.n_nodes) < rng.random()
+            _assert_systems_identical(
+                build_quadratic_system(flat, mask, clique_threshold),
+                _reference_build_quadratic_system(flat, mask, clique_threshold),
+            )
 
 
 class TestSpreading:
