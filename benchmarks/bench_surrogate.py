@@ -1,11 +1,8 @@
 #!/usr/bin/env python
-"""Microbenchmark for two-tier terminal evaluation (PR 7).
+"""Microbenchmark for two-tier terminal evaluation.
 
 Measures, on one synthetic design:
 
-- **surrogate bitwise** — the incremental prefix-stack scorer must equal
-  the from-scratch scorer bit-for-bit across random single-group moves
-  (an optimization, never an approximation);
 - **fidelity** — Spearman rank correlation between surrogate and exact
   HPWL over a pool of random complete assignments.  This is the gate
   PAPERS.md's Cheng/Kahng assessment insists on *measuring*: a proxy is
@@ -17,18 +14,21 @@ Measures, on one synthetic design:
   ``exact_topk=None`` vs a finite K: exact-call reduction, wall-clock,
   and result quality (``min(committed, best_terminal)``), plus a
   huge-K arm gated *bitwise* against the single-tier baseline;
-- **incremental legalizer** — :class:`IncrementalMacroLegalizer`
-  (LU-factorization cache, step-1 netlist reuse, axis-net topology
-  precompile, per-group region memo) gated bitwise against the
-  from-scratch :class:`MacroLegalizer`, with the speedup reported.
+- **legalizer reuse** — one long-lived :class:`MacroLegalizer`
+  (LU-factorization cache, step-1 netlist reuse, axis-net topology,
+  per-group region memo) gated bitwise against a fresh instance per
+  call, with the speedup reported.  This arm coarsens the design at
+  ``zeta=4`` so macro groups have several members: singleton groups skip
+  the region LP, and with it the topology and the memo.
 
-Gates (exit 1 on failure): all bitwise-equivalence checks and the
-fidelity floor (``--min-spearman``, default 0.9) always gate.  In full
-(non ``--quick``) mode the two-tier arm must additionally cut exact
-calls by ``--min-exact-reduction`` (default 3×) while keeping quality
-within ``--max-hpwl-ratio`` (default 1.01) of the single-tier search.
-``--quick`` (the CI mode) gates bitwise + fidelity only — a shared
-runner can't promise a representative budget.
+Gates (exit 1 on failure): all bitwise-equivalence checks, at least
+one region-memo hit and one compiled axis-net topology in the legalizer
+arm, and the fidelity floor (``--min-spearman``, default 0.9) always
+gate.  In full (non ``--quick``) mode the two-tier arm must additionally
+cut exact calls by ``--min-exact-reduction`` (default 3×) while keeping
+quality within ``--max-hpwl-ratio`` (default 1.01) of the single-tier
+search.  ``--quick`` (the CI mode) skips those two — a shared runner
+can't promise a representative budget.
 
 Writes a JSON report (default ``BENCH_pr7.json``)::
 
@@ -52,7 +52,7 @@ from repro.coarsen import coarsen_design
 from repro.env.placement_env import MacroGroupPlacementEnv
 from repro.gp.mixed_size import MixedSizePlacer
 from repro.grid.plan import GridPlan
-from repro.legalize.pipeline import IncrementalMacroLegalizer, MacroLegalizer
+from repro.legalize.pipeline import MacroLegalizer
 from repro.mcts.search import MCTSConfig, MCTSPlacer
 from repro.netlist.generator import GeneratorSpec, generate_design
 from repro.surrogate import GroupCentroidSurrogate, spearman
@@ -95,36 +95,6 @@ def random_assignments(env, n: int, seed: int = 0) -> list[list[int]]:
 
 def _rate(n_items: int, seconds: float) -> float:
     return n_items / seconds if seconds > 0 else float("inf")
-
-
-def check_surrogate_bitwise(coarse, n_moves: int) -> dict:
-    """Incremental == from-scratch, bit for bit, under random moves."""
-    sur = GroupCentroidSurrogate(coarse)
-    n, grids = sur.n_macro_groups, coarse.plan.n_grids
-    rng = np.random.default_rng(3)
-    assignment = [int(a) for a in rng.integers(0, grids, size=n)]
-    bitwise = True
-    inc_seconds = 0.0
-    scratch_seconds = 0.0
-    for _ in range(n_moves):
-        assignment[int(rng.integers(0, n))] = int(rng.integers(0, grids))
-        started = time.perf_counter()
-        inc = sur.score(assignment)
-        inc_seconds += time.perf_counter() - started
-        started = time.perf_counter()
-        ref = sur.score_from_scratch(assignment)
-        scratch_seconds += time.perf_counter() - started
-        bitwise &= inc == ref
-    return {
-        "n_moves": n_moves,
-        "bitwise": bitwise,
-        "incremental_scores_per_sec": _rate(n_moves, inc_seconds),
-        "scratch_scores_per_sec": _rate(n_moves, scratch_seconds),
-        "incremental_speedup": (
-            scratch_seconds / inc_seconds if inc_seconds > 0 else float("inf")
-        ),
-        "net_updates_per_score": sur.n_net_updates / max(sur.n_scores, 1),
-    }
 
 
 def bench_fidelity(coarse, n_assignments: int) -> dict:
@@ -213,47 +183,44 @@ def bench_two_tier(coarse, net_cfg, explorations: int, topk: int) -> dict:
     return out
 
 
-def bench_incremental_legalizer(coarse, n_assignments: int) -> dict:
-    """Cached pipeline vs from-scratch: bitwise positions + speedup."""
+def bench_legalizer_reuse(coarse, n_assignments: int) -> dict:
+    """Long-lived legalizer vs a fresh one per call: bitwise positions +
+    speedup.  The repeated first assignment exercises the region memo."""
     env = make_env(coarse)  # only for sizes/assignment sampling
     assignments = random_assignments(env, n_assignments, seed=17)
-    assignments.append(list(assignments[0]))  # repeat → region-memo hits
+    assignments.append(list(assignments[0]))
 
     def positions(c):
         return [(node.x, node.y) for node in c.design.netlist]
 
-    scratch_coarse = copy.deepcopy(coarse)
-    scratch = MacroLegalizer()
+    fresh_coarse = copy.deepcopy(coarse)
     started = time.perf_counter()
-    scratch_positions = []
+    fresh_positions = []
     for a in assignments:
-        scratch.legalize(scratch_coarse, a)
-        scratch_positions.append(positions(scratch_coarse))
-    scratch_seconds = time.perf_counter() - started
+        MacroLegalizer().legalize(fresh_coarse, a)
+        fresh_positions.append(positions(fresh_coarse))
+    fresh_seconds = time.perf_counter() - started
 
-    incr_coarse = copy.deepcopy(coarse)
-    incremental = IncrementalMacroLegalizer()
+    kept_coarse = copy.deepcopy(coarse)
+    kept = MacroLegalizer()
     started = time.perf_counter()
     bitwise = True
-    for a, expected in zip(assignments, scratch_positions):
-        incremental.legalize(incr_coarse, a)
-        bitwise &= positions(incr_coarse) == expected
-    incremental_seconds = time.perf_counter() - started
+    for a, expected in zip(assignments, fresh_positions):
+        kept.legalize(kept_coarse, a)
+        bitwise &= positions(kept_coarse) == expected
+    kept_seconds = time.perf_counter() - started
 
     out = {
         "n_assignments": len(assignments),
+        "group_sizes": [len(g.members) for g in coarse.macro_groups],
         "bitwise": bitwise,
-        "scratch_seconds": scratch_seconds,
-        "incremental_seconds": incremental_seconds,
+        "fresh_seconds": fresh_seconds,
+        "long_lived_seconds": kept_seconds,
         "speedup": (
-            scratch_seconds / incremental_seconds
-            if incremental_seconds > 0
-            else float("inf")
+            fresh_seconds / kept_seconds if kept_seconds > 0 else float("inf")
         ),
     }
-    out.update(
-        {f"cache_{k}": v for k, v in incremental.cache_stats().items()}
-    )
+    out.update({f"cache_{k}": v for k, v in kept.cache_stats().items()})
     return out
 
 
@@ -283,15 +250,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     zeta = 8
+    legalizer_zeta = 4
     net_cfg = NetworkConfig(zeta=zeta, channels=16, res_blocks=2, seed=0)
     if args.quick:
-        n_fidelity, n_moves, explorations, topk, n_legalize = 40, 200, 16, 8, 6
+        n_fidelity, explorations, topk, n_legalize = 40, 16, 8, 6
     else:
         # γ=320 gives the baseline enough distinct terminal leaves (~120)
         # for the reduction ratio to mean something; K=4 is the matched
         # budget's operating point (4–5× fewer exact calls, quality within
         # noise of the single-tier search).
-        n_fidelity, n_moves, explorations, topk, n_legalize = 200, 1000, 320, 4, 16
+        n_fidelity, explorations, topk, n_legalize = 200, 320, 4, 16
 
     host_cores = os.cpu_count() or 1
     coarse = build_problem(zeta=zeta)
@@ -300,10 +268,10 @@ def main(argv=None) -> int:
             "quick": args.quick,
             "zeta": zeta,
             "n_fidelity_assignments": n_fidelity,
-            "n_surrogate_moves": n_moves,
             "mcts_explorations": explorations,
             "exact_topk": topk,
             "n_legalize_assignments": n_legalize,
+            "legalizer_zeta": legalizer_zeta,
             "min_spearman": args.min_spearman,
             "min_exact_reduction": args.min_exact_reduction,
             "max_hpwl_ratio": args.max_hpwl_ratio,
@@ -313,11 +281,6 @@ def main(argv=None) -> int:
     }
 
     print(f"host cores: {host_cores}")
-    print("== surrogate: incremental vs from-scratch ==")
-    report["surrogate"] = check_surrogate_bitwise(coarse, n_moves)
-    for key, value in report["surrogate"].items():
-        print(f"  {key:28s} {value}")
-
     print("== fidelity: surrogate vs exact HPWL ==")
     report["fidelity"] = bench_fidelity(coarse, n_fidelity)
     for key, value in report["fidelity"].items():
@@ -328,15 +291,22 @@ def main(argv=None) -> int:
     for key, value in report["two_tier"].items():
         print(f"  {key:30s} {value}")
 
-    print("== incremental legalizer ==")
-    report["legalizer"] = bench_incremental_legalizer(coarse, n_legalize)
+    print("== legalizer: long-lived vs fresh per call ==")
+    report["legalizer"] = bench_legalizer_reuse(
+        build_problem(zeta=legalizer_zeta), n_legalize
+    )
     for key, value in report["legalizer"].items():
         print(f"  {key:28s} {value}")
 
     # -- gates ----------------------------------------------------------------
     gates = {
-        "surrogate_bitwise": report["surrogate"]["bitwise"],
         "legalizer_bitwise": report["legalizer"]["bitwise"],
+        # the bitwise gate means nothing if the memo and the topology
+        # compile never ran (singleton groups skip the region LP)
+        "legalizer_reuses_exercised": (
+            report["legalizer"]["cache_region_memo_hits"] > 0
+            and report["legalizer"]["cache_axis_topologies"] > 0
+        ),
         "huge_k_bitwise_baseline": report["two_tier"][
             "huge_k_bitwise_baseline"
         ],

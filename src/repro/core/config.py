@@ -19,7 +19,12 @@ from repro.mcts.search import MCTSConfig
 
 @dataclass(frozen=True)
 class PlacerConfig:
-    """All knobs of :class:`repro.core.flow.MCTSGuidedPlacer`."""
+    """All knobs of :class:`repro.core.flow.MCTSGuidedPlacer`.
+
+    The macro legalizer has none: its reuses (factorization cache,
+    step-1 netlist, axis-net topology, region memo) are always on and
+    bitwise-identical to rebuilding each call.
+    """
 
     # Preprocessing (Sec. II-A)
     zeta: int = 8
@@ -109,13 +114,6 @@ class PlacerConfig:
     #: observes the result without changing it, so — like the execution
     #: knobs above — it is excluded from the run-dir config fingerprint.
     verify_results: bool = False
-    #: use :class:`repro.legalize.IncrementalMacroLegalizer` for terminal
-    #: evaluations: QP factorizations, the step-1 coarse netlist, and
-    #: axis-net topologies are cached across calls.  Results are
-    #: bitwise-identical to the from-scratch pipeline (equivalence-gated in
-    #: tests and bench_surrogate), so this is an execution knob — excluded
-    #: from the run-dir config fingerprint.
-    incremental_legalizer: bool = True
 
     seed: int = 0
 

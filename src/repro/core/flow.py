@@ -9,8 +9,9 @@ which is how the Table IV runtime benchmark isolates the MCTS stage):
 4. ``rl_training``   — Actor-Critic pre-training (Sec. III).
 5. ``mcts``          — agent-guided search (Sec. IV).
 6. ``final``         — legalization + cell placement of the committed
-   assignment (already part of the MCTS terminal evaluation; re-run so the
-   design object carries the final coordinates).
+   assignment.  The MCTS stage's last terminal evaluation already did
+   this in-process, so the stage only re-runs it when the search was
+   restored from a run dir.
 
 Fault tolerance (:mod:`repro.runtime`): when ``place`` is given a
 ``run_dir`` every stage persists its outputs plus a JSON manifest there,
@@ -36,7 +37,7 @@ from repro.core.config import PlacerConfig
 from repro.env.placement_env import MacroGroupPlacementEnv
 from repro.gp.mixed_size import MixedSizePlacer
 from repro.grid.plan import GridPlan
-from repro.legalize.pipeline import IncrementalMacroLegalizer, MacroLegalizer
+from repro.legalize.pipeline import MacroLegalizer
 from repro.mcts.search import MCTSPlacer, SearchResult
 from repro.netlist.model import Design
 from repro.parallel import (
@@ -128,14 +129,9 @@ class MCTSGuidedPlacer:
         )
 
     def build_environment(self, coarse: CoarseNetlist) -> MacroGroupPlacementEnv:
-        legalizer_cls = (
-            IncrementalMacroLegalizer
-            if self.config.incremental_legalizer
-            else MacroLegalizer
-        )
         return MacroGroupPlacementEnv(
             coarse,
-            legalizer=legalizer_cls(events=self._events),
+            legalizer=MacroLegalizer(events=self._events),
             cell_place_iters=self.config.cell_place_iterations,
         )
 
@@ -369,7 +365,8 @@ class MCTSGuidedPlacer:
                     )
 
             # -- stage 5: MCTS ----------------------------------------------------
-            if ctx.completed("mcts"):
+            searched_here = not ctx.completed("mcts")
+            if not searched_here:
                 search = ctx.load_search()
                 ctx.skip("mcts")
             else:
@@ -405,10 +402,16 @@ class MCTSGuidedPlacer:
                 ctx.skip("final")
             else:
                 with ctx.guard("final"):
-                    # deliberately in-process: the design object must carry
-                    # the final coordinates
+                    # MCTSPlacer.run ends by evaluating the committed
+                    # assignment in-process, so after a search in this
+                    # process the design already carries the final
+                    # coordinates; a search loaded from the run dir must
+                    # be evaluated again
                     with stopwatch.measure("final"):
-                        hpwl = env.evaluate_assignment(search.assignment)
+                        if searched_here:
+                            hpwl = search.wirelength
+                        else:
+                            hpwl = env.evaluate_assignment(search.assignment)
                     if cfg.legalize_cells:
                         from repro.legalize.cells import legalize_cells
                         from repro.netlist.hpwl import FlatNetlist

@@ -13,12 +13,11 @@ Three steps, after macro groups are allocated to grids by RL or MCTS:
 
 from repro.legalize.sequence_pair import SequencePair, extract_sequence_pair
 from repro.legalize.lp_spread import lp_legalize_axis, pack_longest_path
-from repro.legalize.pipeline import IncrementalMacroLegalizer, MacroLegalizer
+from repro.legalize.pipeline import MacroLegalizer
 from repro.legalize.cells import CellLegalizationResult, legalize_cells
 
 __all__ = [
     "CellLegalizationResult",
-    "IncrementalMacroLegalizer",
     "MacroLegalizer",
     "SequencePair",
     "extract_sequence_pair",

@@ -75,25 +75,71 @@ def span_rect(coarse: CoarseNetlist, group_index: int, flat_grid: int) -> SpanRe
     )
 
 
-class MacroLegalizer:
-    """Runs the Sec. II-B pipeline against a coarse netlist."""
+#: heaviest projected nets kept per axis in one region's Eq. 3 LP
+LP_NET_LIMIT = 200
+#: net degree above which the QP steps switch from clique to star model
+QP_CLIQUE_THRESHOLD = 6
+#: region-memo entries kept before the oldest is evicted
+REGION_MEMO_LIMIT = 4096
 
-    def __init__(
-        self,
-        lp_net_limit: int = 200,
-        cleanup: bool = True,
-        qp_clique_threshold: int = 6,
-        events: EventLog | None = None,
-    ) -> None:
-        self.lp_net_limit = lp_net_limit
-        self.cleanup = cleanup
-        self.qp_clique_threshold = qp_clique_threshold
+
+class MacroLegalizer:
+    """Runs the Sec. II-B pipeline against a coarse netlist.
+
+    Consecutive terminal evaluations re-solve near-identical problems, so
+    one instance keeps four reuses, each bitwise-identical to rebuilding
+    from scratch (tests compare a long-lived instance against a fresh one
+    per call, byte for byte):
+
+    - **QP factorization cache** — the step-1 and step-2 Laplacians depend
+      only on connectivity and the movable mask, not on the assignment, so
+      one LU factorization (keyed on the exact matrix bytes) serves every
+      call; only the right-hand-side triangular solves run per call.
+    - **Step-1 netlist reuse** — ``coarse.as_netlist()`` would rebuild the
+      same object graph every call; one instance is kept and its node
+      positions rewound to the first build's state before each solve.
+    - **Axis-net topology** — which original nets touch a group's members,
+      their pin offsets, and which survive the weight sort and truncations
+      is static, so the scan over all design nets runs once per group;
+      each call only reads the current fixed-pin positions.
+    - **Per-group region memo** — the sequence-pair + LP result for a
+      group is memoized against *all* its inputs (member positions, span
+      rectangle, fixed pin positions).  The QP steps couple every group,
+      so a one-anchor change perturbs all member positions in their last
+      bits; hits come from genuinely repeated sub-problems.  Like the
+      terminal cache, the memo stores what a call computed, including an
+      LP that an injected fault degraded.
+
+    The caches belong to one coarse netlist; legalizing a different one
+    drops them.
+    """
+
+    def __init__(self, events: EventLog | None = None) -> None:
         #: degradation events (solver fallbacks) are recorded here
         self.events = events if events is not None else EventLog()
-        #: optional :class:`~repro.gp.quadratic.FactorizationCache` threaded
-        #: into every QP solve; ``None`` here, installed by
-        #: :class:`IncrementalMacroLegalizer`
-        self.factor_cache: FactorizationCache | None = None
+        self._src: CoarseNetlist | None = None
+        self._drop_caches()
+        self.n_region_memo_hits = 0
+        self.n_region_memo_misses = 0
+
+    def _drop_caches(self) -> None:
+        self.factor_cache = FactorizationCache()
+        self._step1_nl = None
+        #: (node, x, y) of the step-1 netlist's first build
+        self._step1_positions: list[tuple[object, float, float]] = []
+        #: group index → [(weight, x_pins, y_pins, fixed_refs)]
+        self._axis_topology: dict[int, list] = {}
+        #: full-input key → (new_x, new_y) of one group's LP legalization
+        self._region_memo: dict = {}
+
+    def cache_stats(self) -> dict:
+        return {
+            "factor_hits": self.factor_cache.hits,
+            "factor_misses": self.factor_cache.misses,
+            "region_memo_hits": self.n_region_memo_hits,
+            "region_memo_misses": self.n_region_memo_misses,
+            "axis_topologies": len(self._axis_topology),
+        }
 
     # -- solver guards ---------------------------------------------------------
     def _guarded_qp(self, step: str, flat: FlatNetlist, movable, center) -> None:
@@ -111,7 +157,7 @@ class MacroLegalizer:
                 )
             solve_quadratic_placement(
                 flat, movable, center,
-                clique_threshold=self.qp_clique_threshold,
+                clique_threshold=QP_CLIQUE_THRESHOLD,
                 factor_cache=self.factor_cache,
             )
         except PlacementError as exc:
@@ -127,15 +173,23 @@ class MacroLegalizer:
         flat.writeback()
 
     # -- step 1 ---------------------------------------------------------------
-    def _step1_netlist(self, coarse: CoarseNetlist):
-        """The coarse netlist step 1 solves over (subclass reuse hook)."""
-        return coarse.as_netlist()
-
     def _place_cell_groups(
         self, coarse: CoarseNetlist, rects: list[SpanRect]
     ) -> None:
         """QP the coarse netlist with macro groups pinned to their spans."""
-        coarse_nl = self._step1_netlist(coarse)
+        if self._step1_nl is None:
+            self._step1_nl = coarse.as_netlist()
+            self._step1_positions = [
+                (node, node.x, node.y) for node in self._step1_nl
+            ]
+        else:
+            # rewind to the first build's positions so the reused netlist is
+            # indistinguishable from a fresh as_netlist() — including on the
+            # QP-degradation path, where pre-solve positions leak through
+            for node, x, y in self._step1_positions:
+                node.x = x
+                node.y = y
+        coarse_nl = self._step1_nl
         for i, rect in enumerate(rects):
             node = coarse_nl[coarse.group_node_name(i)]
             node.move_center_to(rect.cx, rect.cy)
@@ -183,40 +237,54 @@ class MacroLegalizer:
 
     # -- step 3 ---------------------------------------------------------------
     def _axis_nets(
-        self,
-        coarse: CoarseNetlist,
-        member_index: dict[str, int],
-        axis: str,
-    ) -> list[AxisNet]:
-        """Project original nets touching the region's macros onto one axis."""
-        design = coarse.design
-        nets: list[AxisNet] = []
-        for net in design.netlist.nets:
-            movable_pins: list[tuple[int, float]] = []
-            fixed_positions: list[float] = []
-            for pin in net.pins:
-                node = design.netlist[pin.node]
-                if pin.node in member_index:
-                    if axis == "x":
-                        off = node.width / 2.0 + pin.dx
+        self, coarse: CoarseNetlist, group_index: int, members: list
+    ) -> tuple[list[AxisNet], list[AxisNet]]:
+        """Project original nets touching the region's macros onto x and y.
+
+        Each net keeps its first four non-member pins as fixed positions,
+        and only the :data:`LP_NET_LIMIT` heaviest nets are kept.  Both
+        selections are static, so the scan over all design nets compiles
+        once per group; a call only reads the fixed pins' current centers.
+        """
+        compiled = self._axis_topology.get(group_index)
+        if compiled is None:
+            netlist = coarse.design.netlist
+            member_index = {m.name: k for k, m in enumerate(members)}
+            compiled = []
+            for net in netlist.nets:
+                x_pins: list[tuple[int, float]] = []
+                y_pins: list[tuple[int, float]] = []
+                fixed_refs: list[tuple[object, float, float]] = []
+                for pin in net.pins:
+                    node = netlist[pin.node]
+                    k = member_index.get(pin.node)
+                    if k is not None:
+                        x_pins.append((k, node.width / 2.0 + pin.dx))
+                        y_pins.append((k, node.height / 2.0 + pin.dy))
                     else:
-                        off = node.height / 2.0 + pin.dy
-                    movable_pins.append((member_index[pin.node], off))
-                else:
-                    if axis == "x":
-                        fixed_positions.append(node.cx + pin.dx)
-                    else:
-                        fixed_positions.append(node.cy + pin.dy)
-            if movable_pins:
-                nets.append(
-                    AxisNet(
-                        weight=net.weight,
-                        pins=movable_pins,
-                        fixed_positions=fixed_positions[:4],
-                    )
-                )
-        nets.sort(key=lambda n: -n.weight)
-        return nets[: self.lp_net_limit]
+                        fixed_refs.append((node, pin.dx, pin.dy))
+                if x_pins:
+                    compiled.append((net.weight, x_pins, y_pins, fixed_refs[:4]))
+            compiled.sort(key=lambda e: -e[0])
+            compiled = compiled[:LP_NET_LIMIT]
+            self._axis_topology[group_index] = compiled
+        x_nets = [
+            AxisNet(
+                weight=w,
+                pins=list(x_pins),
+                fixed_positions=[n.cx + dx for n, dx, _ in refs],
+            )
+            for w, x_pins, _, refs in compiled
+        ]
+        y_nets = [
+            AxisNet(
+                weight=w,
+                pins=list(y_pins),
+                fixed_positions=[n.cy + dy for n, _, dy in refs],
+            )
+            for w, _, y_pins, refs in compiled
+        ]
+        return x_nets, y_nets
 
     def _legalize_region(
         self, coarse: CoarseNetlist, group_index: int, rect: SpanRect
@@ -228,45 +296,58 @@ class MacroLegalizer:
         ]
         if len(members) == 0:
             return
-        member_index = {m.name: k for k, m in enumerate(members)}
-        xs = np.array([m.x for m in members])
-        ys = np.array([m.y for m in members])
-        ws = np.array([m.width for m in members])
-        hs = np.array([m.height for m in members])
-
         if len(members) == 1:
             m = members[0]
             m.x = min(max(m.x, rect.x), max(rect.x, rect.x + rect.width - m.width))
             m.y = min(max(m.y, rect.y), max(rect.y, rect.y + rect.height - m.height))
             return
 
-        sp_pair = extract_sequence_pair(xs, ys, ws, hs)
-        h_edges, v_edges = sp_pair.relations()
-
-        def degrade(axis):
-            return lambda exc: self.events.emit(
-                "degradation",
-                solver="lp",
-                fallback="pack_longest_path",
-                axis=axis,
-                group=group_index,
-                error=str(exc),
-            )
-
-        x_nets = self._axis_nets(coarse, member_index, "x")
-        new_x = lp_legalize_axis(
-            ws, h_edges, rect.x, rect.x + rect.width, x_nets,
-            on_degrade=degrade("x"),
+        xs = np.array([m.x for m in members])
+        ys = np.array([m.y for m in members])
+        x_nets, y_nets = self._axis_nets(coarse, group_index, members)
+        key = (
+            group_index,
+            xs.tobytes(),
+            ys.tobytes(),
+            (rect.x, rect.y, rect.width, rect.height),
+            tuple(tuple(n.fixed_positions) for n in x_nets),
+            tuple(tuple(n.fixed_positions) for n in y_nets),
         )
+        memo = self._region_memo.get(key)
+        if memo is not None:
+            self.n_region_memo_hits += 1
+        else:
+            self.n_region_memo_misses += 1
+            ws = np.array([m.width for m in members])
+            hs = np.array([m.height for m in members])
+            h_edges, v_edges = extract_sequence_pair(xs, ys, ws, hs).relations()
+
+            def degrade(axis):
+                return lambda exc: self.events.emit(
+                    "degradation",
+                    solver="lp",
+                    fallback="pack_longest_path",
+                    axis=axis,
+                    group=group_index,
+                    error=str(exc),
+                )
+
+            memo = (
+                lp_legalize_axis(
+                    ws, h_edges, rect.x, rect.x + rect.width, x_nets,
+                    on_degrade=degrade("x"),
+                ),
+                lp_legalize_axis(
+                    hs, v_edges, rect.y, rect.y + rect.height, y_nets,
+                    on_degrade=degrade("y"),
+                ),
+            )
+            if len(self._region_memo) >= REGION_MEMO_LIMIT:
+                self._region_memo.pop(next(iter(self._region_memo)))
+            self._region_memo[key] = memo
+        new_x, new_y = memo
         for k, m in enumerate(members):
             m.x = float(new_x[k])
-
-        y_nets = self._axis_nets(coarse, member_index, "y")
-        new_y = lp_legalize_axis(
-            hs, v_edges, rect.y, rect.y + rect.height, y_nets,
-            on_degrade=degrade("y"),
-        )
-        for k, m in enumerate(members):
             m.y = float(new_y[k])
 
     # -- entry point ------------------------------------------------------------
@@ -280,13 +361,17 @@ class MacroLegalizer:
         Every call first rewinds the coarse netlist to its canonical start
         (:meth:`CoarseNetlist.restore_canonical`), so the result is a pure
         function of *assignment*: bitwise-identical no matter what was
-        legalized before.
+        legalized before.  A greedy displacement-minimal pass then clears
+        any overlap left across groups.
         """
         if len(assignment) != coarse.n_macro_groups:
             raise ValueError(
                 f"assignment covers {len(assignment)} groups, "
                 f"expected {coarse.n_macro_groups}"
             )
+        if self._src is not coarse:
+            self._drop_caches()
+            self._src = coarse
         coarse.restore_canonical()
         rects = [
             span_rect(coarse, i, int(flat_grid))
@@ -296,253 +381,10 @@ class MacroLegalizer:
         self._refine_macros(coarse, rects)
         for i, rect in enumerate(rects):
             self._legalize_region(coarse, i, rect)
-        if self.cleanup:
-            design = coarse.design
-            blockers = (
-                design.netlist.movable_macros + design.netlist.preplaced_macros
-            )
-            if any_pairwise_overlap(blockers):
-                legalize_macros_greedy(design)
-
-
-class IncrementalMacroLegalizer(MacroLegalizer):
-    """Drop-in :class:`MacroLegalizer` that amortizes repeated structure.
-
-    Consecutive terminal evaluations re-solve near-identical problems; three
-    reuses cut the per-call cost while staying *bitwise-identical* to the
-    from-scratch pipeline:
-
-    - **QP factorization cache** — the step-1 and step-2 Laplacians depend
-      only on connectivity and the movable mask, not on the assignment, so
-      one LU factorization (keyed on the exact matrix bytes) serves every
-      terminal evaluation; only the right-hand-side triangular solves run
-      per call.
-    - **Step-1 netlist reuse** — ``coarse.as_netlist()`` rebuilds the same
-      object graph every call; one instance is kept and its node positions
-      rewound to the first build's state before each solve.
-    - **Axis-net topology precompile + per-group LP memo** — which nets
-      survive :meth:`MacroLegalizer._axis_nets`'s weight sort and
-      truncations is static, so the scan over all design nets compiles once
-      per (group, axis); the sequence-pair + LP result for a group is
-      additionally memoized against a digest of *all* its inputs (member
-      positions, span rectangle, fixed pin positions).
-
-    The LP memo is keyed on full inputs rather than "the spans the changed
-    anchor touches" because the QP steps couple every group: a one-anchor
-    change perturbs all member positions in their last bits, so a
-    span-locality skip would not be bitwise-safe.  Memo hits therefore
-    come from genuinely repeated sub-problems; the factorization cache and
-    the precompiled topology carry the steady-state win.
-
-    When a fault plan is installed (chaos drills) every reuse except the
-    factorization cache is bypassed so injected-fault arrival counts stay
-    canonical.  With ``self_check=True`` each call is replayed through a
-    pristine from-scratch pipeline and every node position compared
-    bitwise; a mismatch keeps the from-scratch result, drops all caches,
-    and emits a ``degradation`` event (the equivalence gate the tests and
-    benchmarks run under).
-    """
-
-    def __init__(
-        self,
-        lp_net_limit: int = 200,
-        cleanup: bool = True,
-        qp_clique_threshold: int = 6,
-        events: EventLog | None = None,
-        self_check: bool = False,
-    ) -> None:
-        super().__init__(
-            lp_net_limit=lp_net_limit,
-            cleanup=cleanup,
-            qp_clique_threshold=qp_clique_threshold,
-            events=events,
-        )
-        self.self_check = self_check
-        self.factor_cache = FactorizationCache()
-        self._src: CoarseNetlist | None = None
-        self._bypass = False
-        self._step1_nl = None
-        self._step1_positions: dict[str, tuple[float, float]] = {}
-        #: (member-name tuple, axis) → [(weight, movable_pins, fixed_refs)]
-        self._axis_topology: dict = {}
-        #: full-input digest → (new_x, new_y) of one group's LP legalization
-        self._region_memo: dict = {}
-        self._region_memo_limit = 4096
-        self.n_region_memo_hits = 0
-        self.n_region_memo_misses = 0
-        self.n_equivalence_failures = 0
-        self.n_legalize_calls = 0
-
-    def cache_stats(self) -> dict:
-        return {
-            "factor_hits": self.factor_cache.hits,
-            "factor_misses": self.factor_cache.misses,
-            "region_memo_hits": self.n_region_memo_hits,
-            "region_memo_misses": self.n_region_memo_misses,
-            "axis_topologies": len(self._axis_topology),
-            "equivalence_failures": self.n_equivalence_failures,
-            "legalize_calls": self.n_legalize_calls,
-        }
-
-    def _drop_caches(self) -> None:
-        self.factor_cache = FactorizationCache()
-        self._step1_nl = None
-        self._step1_positions = {}
-        self._axis_topology = {}
-        self._region_memo = {}
-
-    # -- step-1 netlist reuse --------------------------------------------------
-    def _step1_netlist(self, coarse: CoarseNetlist):
-        if self._bypass:
-            return super()._step1_netlist(coarse)
-        if self._step1_nl is None:
-            self._step1_nl = super()._step1_netlist(coarse)
-            self._step1_positions = {
-                node.name: (node.x, node.y) for node in self._step1_nl
-            }
-        else:
-            # rewind to the first build's positions so the reused netlist is
-            # indistinguishable from a fresh as_netlist() — including on the
-            # QP-degradation path, where pre-solve positions leak through
-            for name, (x, y) in self._step1_positions.items():
-                node = self._step1_nl[name]
-                node.x = x
-                node.y = y
-        return self._step1_nl
-
-    # -- axis-net topology precompile ------------------------------------------
-    def _compile_axis_nets(self, coarse, member_index, axis):
         design = coarse.design
-        entries: list[tuple[float, list, list]] = []
-        for net in design.netlist.nets:
-            movable_pins: list[tuple[int, float]] = []
-            fixed_refs: list[tuple[object, float]] = []
-            for pin in net.pins:
-                node = design.netlist[pin.node]
-                if pin.node in member_index:
-                    if axis == "x":
-                        off = node.width / 2.0 + pin.dx
-                    else:
-                        off = node.height / 2.0 + pin.dy
-                    movable_pins.append((member_index[pin.node], off))
-                else:
-                    fixed_refs.append(
-                        (node, pin.dx if axis == "x" else pin.dy)
-                    )
-            if movable_pins:
-                # the base keeps only the first four fixed positions and the
-                # lp_net_limit heaviest nets — both selections are static,
-                # so they compile away
-                entries.append((net.weight, movable_pins, fixed_refs[:4]))
-        entries.sort(key=lambda e: -e[0])
-        return entries[: self.lp_net_limit]
-
-    def _axis_nets(self, coarse, member_index, axis):
-        if self._bypass:
-            return super()._axis_nets(coarse, member_index, axis)
-        key = (tuple(member_index), axis)
-        compiled = self._axis_topology.get(key)
-        if compiled is None:
-            compiled = self._compile_axis_nets(coarse, member_index, axis)
-            self._axis_topology[key] = compiled
-        if axis == "x":
-            return [
-                AxisNet(
-                    weight=w,
-                    pins=list(pins),
-                    fixed_positions=[n.cx + d for n, d in refs],
-                )
-                for w, pins, refs in compiled
-            ]
-        return [
-            AxisNet(
-                weight=w,
-                pins=list(pins),
-                fixed_positions=[n.cy + d for n, d in refs],
-            )
-            for w, pins, refs in compiled
-        ]
-
-    # -- per-group LP memo -----------------------------------------------------
-    def _legalize_region(self, coarse, group_index, rect) -> None:
-        if self._bypass:
-            super()._legalize_region(coarse, group_index, rect)
-            return
-        design = coarse.design
-        members = [
-            design.netlist[name]
-            for name in coarse.macro_groups[group_index].members
-        ]
-        if len(members) < 2:
-            super()._legalize_region(coarse, group_index, rect)
-            return
-        member_index = {m.name: k for k, m in enumerate(members)}
-        x_fixed = tuple(
-            tuple(n.fixed_positions)
-            for n in self._axis_nets(coarse, member_index, "x")
-        )
-        y_fixed = tuple(
-            tuple(n.fixed_positions)
-            for n in self._axis_nets(coarse, member_index, "y")
-        )
-        key = (
-            group_index,
-            np.array([m.x for m in members]).tobytes(),
-            np.array([m.y for m in members]).tobytes(),
-            (rect.x, rect.y, rect.width, rect.height),
-            x_fixed,
-            y_fixed,
-        )
-        memo = self._region_memo.get(key)
-        if memo is not None:
-            new_x, new_y = memo
-            for k, m in enumerate(members):
-                m.x = new_x[k]
-                m.y = new_y[k]
-            self.n_region_memo_hits += 1
-            return
-        super()._legalize_region(coarse, group_index, rect)
-        self.n_region_memo_misses += 1
-        if len(self._region_memo) >= self._region_memo_limit:
-            self._region_memo.pop(next(iter(self._region_memo)))
-        self._region_memo[key] = (
-            [m.x for m in members],
-            [m.y for m in members],
-        )
-
-    # -- entry point -----------------------------------------------------------
-    def legalize(self, coarse: CoarseNetlist, assignment: list[int]) -> None:
-        if self._src is not coarse:
-            self._drop_caches()
-            self._src = coarse
-        self._bypass = faults.active() is not None
-        self.n_legalize_calls += 1
-        super().legalize(coarse, assignment)
-        if self.self_check and not self._bypass:
-            incremental = {
-                node.name: (node.x, node.y) for node in coarse.design.netlist
-            }
-            baseline = MacroLegalizer(
-                lp_net_limit=self.lp_net_limit,
-                cleanup=self.cleanup,
-                qp_clique_threshold=self.qp_clique_threshold,
-                events=self.events,
-            )
-            baseline.legalize(coarse, assignment)
-            reference = {
-                node.name: (node.x, node.y) for node in coarse.design.netlist
-            }
-            if incremental != reference:
-                # keep the from-scratch result (it is what the design holds
-                # now), drop every cache, and surface the mismatch
-                self.n_equivalence_failures += 1
-                self._drop_caches()
-                self.events.emit(
-                    "degradation",
-                    solver="incremental_legalizer",
-                    error="incremental result diverged from from-scratch; "
-                    "caches dropped, from-scratch result kept",
-                )
+        blockers = design.netlist.movable_macros + design.netlist.preplaced_macros
+        if any_pairwise_overlap(blockers):
+            legalize_macros_greedy(design)
 
 
 def any_pairwise_overlap(nodes) -> bool:

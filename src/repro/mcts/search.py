@@ -40,8 +40,8 @@ backpropagation.  Pooled and in-process evaluations agree bitwise, so the
 search result is identical for every worker count.
 
 Two-tier terminal evaluation (``MCTSConfig.exact_topk``): with a finite K,
-every terminal leaf is first scored by an incremental
-:class:`~repro.surrogate.GroupCentroidSurrogate` (tier 1, microseconds);
+every terminal leaf is first scored by the
+:class:`~repro.surrogate.GroupCentroidSurrogate` (tier 1, no QP or LP);
 only candidates ranking in the search's running top-K by surrogate score
 are admitted to the exact legalize-and-place pipeline (tier 2).  Pruned
 leaves backpropagate a value calibrated from the (surrogate, exact) pairs
@@ -275,7 +275,7 @@ class MCTSPlacer:
 
     # -- two-tier terminal evaluation ------------------------------------------
     def _surrogate_score(self, key: tuple[int, ...]) -> float:
-        """Tier-1 incremental surrogate HPWL of a complete assignment."""
+        """Tier-1 surrogate HPWL of a complete assignment."""
         started = time.perf_counter()
         score = self.surrogate.score(key)
         self.seconds_surrogate += time.perf_counter() - started

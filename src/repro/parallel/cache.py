@@ -10,7 +10,7 @@ and can optionally mirror itself to a JSONL file in the run directory.
 The cache key is the assignment tuple *plus* an environment fingerprint
 (:func:`environment_fingerprint`): a hash of everything that changes the
 measured wirelength — the design, the grid plan, the group structure, the
-legalizer knobs, and the cell-placement effort.  Persisted entries whose
+legalizer constants, and the cell-placement effort.  Persisted entries whose
 fingerprint does not match the live environment are ignored on load, so a
 stale file can never poison a run.  Loads tolerate a torn tail line (a
 kill mid-append), matching the event-log convention.
@@ -34,6 +34,7 @@ import json
 import os
 import uuid
 
+from repro.legalize.pipeline import LP_NET_LIMIT, QP_CLIQUE_THRESHOLD
 from repro.utils.events import append_jsonl, read_jsonl
 
 
@@ -42,7 +43,7 @@ def environment_fingerprint(env) -> str:
 
     Covers the design identity (name, node/net counts, total node area),
     the grid plan, the macro-group structure (count + per-group spans, the
-    action-space geometry), the legalizer configuration, and
+    action-space geometry), the legalizer constants, and
     ``cell_place_iters``.  Two environments with equal fingerprints return
     bitwise-identical HPWL for equal assignments (given the purity
     guarantee of :meth:`MacroLegalizer.legalize`).
@@ -50,7 +51,6 @@ def environment_fingerprint(env) -> str:
     coarse = env.coarse
     nl = coarse.design.netlist
     plan = coarse.plan
-    legalizer = env.legalizer
     payload = {
         "design": {
             "name": nl.name,
@@ -76,10 +76,12 @@ def environment_fingerprint(env) -> str:
                 list(coarse.group_span(i)) for i in range(coarse.n_macro_groups)
             ],
         },
+        # persisted terminal caches are keyed on this exact payload, so it
+        # keeps "cleanup" (the greedy overlap repair, always on)
         "legalizer": {
-            "lp_net_limit": legalizer.lp_net_limit,
-            "cleanup": legalizer.cleanup,
-            "qp_clique_threshold": legalizer.qp_clique_threshold,
+            "lp_net_limit": LP_NET_LIMIT,
+            "cleanup": True,
+            "qp_clique_threshold": QP_CLIQUE_THRESHOLD,
         },
         "cell_place_iters": env.cell_place_iters,
     }

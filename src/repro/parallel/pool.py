@@ -52,19 +52,10 @@ def _init_worker(payload: bytes) -> None:
     """Pool initializer: unpickle the problem and build a private env."""
     global _WORKER_ENV
     from repro.env.placement_env import MacroGroupPlacementEnv
-    from repro.legalize.pipeline import IncrementalMacroLegalizer, MacroLegalizer
 
     spec = pickle.loads(payload)
-    # Workers mirror the parent's legalizer class so their per-process
-    # caches amortize the same way (results are bitwise-identical either
-    # way; "incremental" is deliberately absent from the environment
-    # fingerprint, so terminal-cache keys do not change).
-    cls = IncrementalMacroLegalizer if spec.get("incremental") else MacroLegalizer
-    legalizer = cls(**spec["legalizer"])
     _WORKER_ENV = MacroGroupPlacementEnv(
-        spec["coarse"],
-        legalizer=legalizer,
-        cell_place_iters=spec["cell_place_iters"],
+        spec["coarse"], cell_place_iters=spec["cell_place_iters"]
     )
 
 
@@ -188,19 +179,9 @@ class TerminalEvaluationPool:
         # Pin the canonical start state *before* pickling so every worker
         # legalizes from exactly the parent's rewind point.
         self.env.coarse.restore_canonical()
-        from repro.legalize.pipeline import IncrementalMacroLegalizer
-
         payload = pickle.dumps(
             {
                 "coarse": self.env.coarse,
-                "legalizer": {
-                    "lp_net_limit": self.env.legalizer.lp_net_limit,
-                    "cleanup": self.env.legalizer.cleanup,
-                    "qp_clique_threshold": self.env.legalizer.qp_clique_threshold,
-                },
-                "incremental": isinstance(
-                    self.env.legalizer, IncrementalMacroLegalizer
-                ),
                 "cell_place_iters": self.env.cell_place_iters,
             },
             protocol=pickle.HIGHEST_PROTOCOL,

@@ -81,11 +81,9 @@ def config_fingerprint(config) -> str:
     ``verify_results`` only re-checks a finished placement (it can fail
     a run, never change its coordinates), so verified and unverified
     runs share warm artifacts and resume each other freely.
-    ``incremental_legalizer`` swaps in a cache-reusing pipeline whose
-    results are bitwise-identical to the from-scratch one, so it is an
-    execution knob too.  ``exact_topk`` stays IN the fingerprint: a
-    finite K changes which terminal leaves receive exact values, so two
-    runs differing in K are different computations.
+    ``exact_topk`` stays IN the fingerprint: a finite K changes which
+    terminal leaves receive exact values, so two runs differing in K are
+    different computations.
     """
     payload = dataclasses.asdict(config)
     for knob in _EXECUTION_KNOBS:
@@ -103,7 +101,6 @@ _EXECUTION_KNOBS = (
     "terminal_pool_clamp",
     "terminal_cache_path",
     "verify_results",
-    "incremental_legalizer",
 )
 
 #: result-affecting knobs that only the *post-training* stages consume.

@@ -151,3 +151,50 @@ class TestCellLegalizationOption:
         design = generate_design(copy.deepcopy(_SMALL_SPEC))
         result = MCTSGuidedPlacer(PC.fast(seed=4)).place(design)
         assert result.legal_hpwl is None
+
+
+class TestFinalStage:
+    def test_final_stage_reuses_the_search_evaluation(self, monkeypatch):
+        """MCTSPlacer.run ends by legalizing the committed assignment in
+        process, so the final stage adds no legalize call of its own; one
+        more evaluation would reproduce the HPWL and every coordinate."""
+        import copy
+
+        import numpy as np
+
+        from tests.conftest import _SMALL_SPEC
+        from repro.env.placement_env import MacroGroupPlacementEnv
+        from repro.legalize.pipeline import MacroLegalizer
+        from repro.mcts.search import MCTSPlacer
+        from repro.netlist.generator import generate_design
+
+        calls = []
+        legalize = MacroLegalizer.legalize
+        run = MCTSPlacer.run
+
+        def counting_legalize(self, coarse, assignment):
+            calls.append(list(assignment))
+            return legalize(self, coarse, assignment)
+
+        def counting_run(self, *args, **kwargs):
+            result = run(self, *args, **kwargs)
+            calls_at_search_end.append(len(calls))
+            return result
+
+        calls_at_search_end = []
+        monkeypatch.setattr(MacroLegalizer, "legalize", counting_legalize)
+        monkeypatch.setattr(MCTSPlacer, "run", counting_run)
+        cfg = PC.fast(seed=1)
+        result = MCTSGuidedPlacer(cfg).place(
+            generate_design(copy.deepcopy(_SMALL_SPEC))
+        )
+        assert calls_at_search_end == [len(calls)]
+        assert calls[-1] == list(result.assignment)
+
+        design = result.coarse.design
+        placed = np.array([(n.x, n.y) for n in design.netlist]).tobytes()
+        env = MacroGroupPlacementEnv(
+            result.coarse, cell_place_iters=cfg.cell_place_iterations
+        )
+        assert env.evaluate_assignment(result.assignment) == result.hpwl
+        assert np.array([(n.x, n.y) for n in design.netlist]).tobytes() == placed

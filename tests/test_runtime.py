@@ -326,6 +326,20 @@ class TestRunDir:
         assert config_fingerprint(cfg) == config_fp
         assert pretraining_fingerprint(cfg) == pretraining_fp
 
+    def test_environment_fingerprint_is_golden(self):
+        # Persisted terminal_cache.jsonl files are keyed on this hash,
+        # including its "legalizer" payload.
+        from repro.netlist.suites import make_iccad04_circuit
+        from repro.parallel import environment_fingerprint
+        from repro.utils.timer import Stopwatch
+
+        placer = MCTSGuidedPlacer(PC.fast())
+        coarse = placer.preprocess(
+            make_iccad04_circuit("ibm01").design, Stopwatch()
+        )
+        env = placer.build_environment(coarse)
+        assert environment_fingerprint(env) == "4c6efa93007386d6"
+
     def test_resume_with_other_config_rejected(self, tmp_path):
         d = str(tmp_path / "run")
         design = _design()

@@ -2,17 +2,17 @@
 
 Three contracts are locked in here:
 
-- the incremental surrogate is an *optimization, never an approximation*:
-  ``score`` must equal ``score_from_scratch`` bitwise across arbitrary
-  move sequences (property-tested with random single-group moves);
+- ``score`` equals a per-net reference scorer kept in this file bitwise
+  across arbitrary move sequences (property-tested with random
+  single-group moves);
 - ``exact_topk=None`` (and measure-only mode, surrogate attached but no
   pruning) reproduces the single-tier search bit-for-bit;
 - whatever K prunes, the *reported* results stay exact: the committed
   wirelength and ``best_terminal_wirelength`` always re-derive from the
   real legalize-and-place pipeline.
 
-Plus the incremental legalizer's equivalence gate: cached-pipeline
-positions must match the from-scratch pipeline bitwise.
+Plus the legalizer's reuse gate: a long-lived :class:`MacroLegalizer`
+must place every node exactly where a fresh instance per call does.
 """
 
 import copy
@@ -24,8 +24,9 @@ import pytest
 from repro.agent.network import NetworkConfig, PolicyValueNet
 from repro.agent.reward import NormalizedReward
 from repro.env.placement_env import MacroGroupPlacementEnv
-from repro.legalize.pipeline import IncrementalMacroLegalizer, MacroLegalizer
+from repro.legalize.pipeline import MacroLegalizer
 from repro.mcts.search import MCTSConfig, MCTSPlacer
+from repro.runtime.faults import Fault, FaultPlan, inject
 from repro.surrogate import GroupCentroidSurrogate, SurrogateCalibration, spearman
 
 
@@ -82,30 +83,44 @@ class TestSurrogateCalibration:
         assert clone.fidelity() == cal.fidelity()
 
 
+def _per_net_oracle(sur, assignment) -> float:
+    """Reference scorer: the surrogate's tables, every net summed in order.
+
+    Written out independently of ``score``, which must match it bit for
+    bit.
+    """
+    gx = sur._gx.copy()
+    gy = sur._gy.copy()
+    for i, anchor in enumerate(assignment):
+        gx[i] = sur._anchor_cx[i, int(anchor)]
+        gy[i] = sur._anchor_cy[i, int(anchor)]
+    if sur._has_cells:
+        gx[sur._cell_idx] = sur._M @ gx[sur._bound_idx] + sur._b0x
+        gy[sur._cell_idx] = sur._M @ gy[sur._bound_idx] + sur._b0y
+    out = np.empty(len(sur._net_groups))
+    for j, idx in enumerate(sur._net_groups):
+        xs, ys = gx[idx], gy[idx]
+        out[j] = float(
+            sur._net_weight[j] * ((xs.max() - xs.min()) + (ys.max() - ys.min()))
+        )
+    return float(out.sum())
+
+
 class TestGroupCentroidSurrogate:
-    def test_incremental_matches_scratch_on_random_moves(self, coarse_small):
+    def test_score_matches_per_net_oracle_on_random_moves(self, coarse_small):
         """Property: after any sequence of random single-group re-anchors,
-        the prefix-stack score equals the from-scratch score bitwise."""
+        ``score`` equals the per-net oracle bitwise, and re-scoring an
+        earlier assignment returns the same float (no history)."""
         sur = GroupCentroidSurrogate(coarse_small)
         n, grids = sur.n_macro_groups, coarse_small.plan.n_grids
         rng = np.random.default_rng(0)
         assignment = [int(a) for a in rng.integers(0, grids, size=n)]
+        first = list(assignment)
+        first_score = sur.score(first)
         for _ in range(200):
             assignment[int(rng.integers(0, n))] = int(rng.integers(0, grids))
-            assert sur.score(assignment) == sur.score_from_scratch(assignment)
-
-    def test_suffix_only_recompute(self, coarse_small):
-        """Changing only the last group must re-push exactly one move."""
-        sur = GroupCentroidSurrogate(coarse_small)
-        n, grids = sur.n_macro_groups, coarse_small.plan.n_grids
-        if n < 2:
-            pytest.skip("needs >= 2 macro groups")
-        base = [0] * n
-        sur.score(base)
-        moved = sur.n_moves_applied
-        base[-1] = grids - 1
-        sur.score(base)
-        assert sur.n_moves_applied == moved + 1
+            assert sur.score(assignment) == _per_net_oracle(sur, assignment)
+        assert sur.score(first) == first_score
 
     def test_scoring_does_not_disturb_the_design(self, coarse_small):
         """Tier 1 must never leak coordinates into what tier 2 sees."""
@@ -307,50 +322,89 @@ class TestTwoTierSearch:
 
 
 class TestIncrementalLegalizer:
-    def _positions(self, coarse):
-        return {node.name: (node.x, node.y) for node in coarse.design.netlist}
+    """One long-lived legalizer against a fresh one per call, byte for byte.
 
-    def test_bitwise_equivalent_to_from_scratch(self, coarse_small):
-        """Every cached reuse (LU factorization, step-1 netlist, axis-net
-        topology, region memo) must reproduce from-scratch positions
-        exactly — including on repeated assignments."""
-        baseline_coarse = coarse_small
-        incr_coarse = copy.deepcopy(coarse_small)
-        baseline = MacroLegalizer()
-        incremental = IncrementalMacroLegalizer()
-        n, grids = coarse_small.n_macro_groups, coarse_small.plan.n_grids
+    The long-lived instance keeps the factorization cache, the step-1
+    netlist, the axis-net topologies and the region memo across calls;
+    none of them may move a single bit of any node position.
+    """
+
+    @staticmethod
+    def _replay(legalizer_for, coarse, phase, qp_fault_at) -> list[bytes]:
+        """Legalize *phase* in order, failing the QP solves numbered in
+        *qp_fault_at*; node positions (x, y) after each call."""
+        plan = FaultPlan(*(Fault("qp.solve", at=k) for k in qp_fault_at))
+        out = []
+        with inject(plan):
+            for assignment in phase:
+                legalizer_for().legalize(coarse, assignment)
+                out.append(
+                    np.array(
+                        [(node.x, node.y) for node in coarse.design.netlist]
+                    ).tobytes()
+                )
+        assert plan.total_fired("qp.solve") == len(qp_fault_at)
+        return out
+
+    @staticmethod
+    def _assignments(coarse) -> list[list[int]]:
+        assert max(len(g.members) for g in coarse.macro_groups) > 1
+        n, grids = coarse.n_macro_groups, coarse.plan.n_grids
         rng = np.random.default_rng(7)
-        assignments = [
+        return [
             [int(a) for a in rng.integers(0, grids, size=n)] for _ in range(4)
         ]
-        assignments.append(list(assignments[0]))  # repeat → memo hits
-        for assignment in assignments:
-            baseline.legalize(baseline_coarse, assignment)
-            incremental.legalize(incr_coarse, assignment)
-            assert self._positions(incr_coarse) == self._positions(
-                baseline_coarse
+
+    def _compare(self, phases) -> tuple[MacroLegalizer, int]:
+        """Run each (coarse, assignments, qp_fault_at) phase through one
+        long-lived legalizer and, on a copy of the same coarse netlist
+        taken before any call, through a fresh legalizer per call; the
+        positions must agree after every call.  Returns the long-lived
+        legalizer and the most axis-net topologies it held at once."""
+        fresh_copies = {
+            id(coarse): copy.deepcopy(coarse) for coarse, _, _ in phases
+        }
+        long_lived = MacroLegalizer()
+        topologies = 0
+        for coarse, phase, qp_fault_at in phases:
+            kept = self._replay(lambda: long_lived, coarse, phase, qp_fault_at)
+            fresh = self._replay(
+                MacroLegalizer, fresh_copies[id(coarse)], phase, qp_fault_at
             )
-        stats = incremental.cache_stats()
-        assert stats["legalize_calls"] == len(assignments)
+            assert kept == fresh
+            topologies = max(
+                topologies, long_lived.cache_stats()["axis_topologies"]
+            )
+        return long_lived, topologies
+
+    def test_bitwise_equivalent_to_from_scratch(self, coarse_small):
+        seen = self._assignments(coarse_small)
+        # The faulted phase fails QP solves 1 and 4: step 1 of its first
+        # call (the reused step-1 netlist must rewind unsolved positions)
+        # and step 2 of its second call.
+        long_lived, topologies = self._compare(
+            [
+                (coarse_small, seen + seen[:1], ()),  # the repeat hits the memo
+                (coarse_small, seen[1:3], (1, 4)),
+                (coarse_small, seen[1:2], ()),
+            ]
+        )
+        stats = long_lived.cache_stats()
         assert stats["factor_hits"] > 0
         assert stats["region_memo_hits"] > 0
-
-    def test_self_check_finds_no_divergence(self, coarse_small):
-        legalizer = IncrementalMacroLegalizer(self_check=True)
-        n, grids = coarse_small.n_macro_groups, coarse_small.plan.n_grids
-        rng = np.random.default_rng(9)
-        for _ in range(3):
-            legalizer.legalize(
-                coarse_small,
-                [int(a) for a in rng.integers(0, grids, size=n)],
-            )
-        assert legalizer.cache_stats()["equivalence_failures"] == 0
+        assert stats["region_memo_misses"] > 0
+        assert topologies > 0
 
     def test_new_coarse_drops_caches(self, coarse_small):
-        legalizer = IncrementalMacroLegalizer()
-        n = coarse_small.n_macro_groups
-        legalizer.legalize(coarse_small, [0] * n)
+        """A second coarse netlist, legalized after the caches were filled
+        on the first with the same assignments, must not reuse them."""
+        seen = self._assignments(coarse_small)
         other = copy.deepcopy(coarse_small)
-        legalizer.legalize(other, [0] * n)
-        # Second coarse rebuilt everything: misses again, no stale reuse.
-        assert legalizer.cache_stats()["legalize_calls"] == 2
+        long_lived, topologies = self._compare(
+            [
+                (coarse_small, seen, ()),
+                (other, seen[2:] + seen[:1], ()),
+            ]
+        )
+        assert long_lived.cache_stats()["region_memo_misses"] > 0
+        assert topologies > 0
