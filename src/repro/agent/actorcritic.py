@@ -104,7 +104,6 @@ class ActorCriticTrainer:
         budget=None,
         max_divergence_rollbacks: int = 8,
         max_episode_failures: int = 8,
-        terminal_pool=None,
     ) -> None:
         if network.config.zeta != env.coarse.plan.zeta:
             raise ValueError(
@@ -132,11 +131,6 @@ class ActorCriticTrainer:
         self.events = events if events is not None else EventLog()
         self.budget = budget
         self.checkpoint_hook = None
-        #: optional :class:`~repro.parallel.TerminalEvaluationPool`: the
-        #: n_envs episodes of a rollout wave finalize concurrently through
-        #: it (terminal evaluation is pure, so pooled results are
-        #: bitwise-identical to sequential ``env.finalize()`` calls).
-        self.terminal_pool = terminal_pool
         self.max_divergence_rollbacks = max_divergence_rollbacks
         self.max_episode_failures = max_episode_failures
         self.divergence_rollbacks = 0
@@ -258,12 +252,6 @@ class ActorCriticTrainer:
                 next_state, _done = env.step(action)
                 next_states.append(next_state)
             states = next_states
-        pool = self.terminal_pool
-        if n > 1 and pool is not None and pool.parallel:
-            # Concurrent episode finalization: purity guarantees the pooled
-            # wirelengths match sequential finalize() calls bitwise.
-            wirelengths = pool.evaluate_many([env.assignment for env in envs])
-            return [(transitions[i], wirelengths[i]) for i in range(n)]
         return [(transitions[i], envs[i].finalize()) for i in range(n)]
 
     # -- update ------------------------------------------------------------------

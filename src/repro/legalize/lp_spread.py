@@ -15,6 +15,10 @@ independent, exactly as the paper notes.
 If the LP is infeasible (the rectangles simply cannot fit in [lo, hi] under
 the sequence-pair order) or the solver fails, :func:`pack_longest_path`
 compacts the rectangles toward ``lo`` instead and the result is clamped.
+The common infeasible case is decided without the solver: every lower
+bound is ``lo``, so the least positions the constraint edges allow are the
+longest paths from ``lo``, and the LP is feasible only if those positions
+meet every upper bound ``max(hi - size_i, lo)``.
 """
 
 from __future__ import annotations
@@ -41,6 +45,38 @@ class AxisNet:
     weight: float = 1.0
     pins: list[tuple[int, float]] = field(default_factory=list)
     fixed_positions: list[float] = field(default_factory=list)
+
+
+#: overrun of an upper bound, per unit of span, beyond which the
+#: longest-path pre-check declares an LP infeasible without calling the
+#: solver.  Ten times HiGHS's default primal feasibility tolerance (1e-7),
+#: so an LP the solver could still accept within its tolerance is sent to
+#: the solver.
+INFEASIBLE_OVERRUN_TOL = 1e-6
+
+
+def _worst_overrun(
+    sizes: np.ndarray, edges: list[tuple[int, int]], lo: float, hi: float
+) -> tuple[int, float]:
+    """(rectangle, overrun) of the largest upper-bound violation of the
+    least positions the constraint edges allow from ``lo``.
+
+    The edges form a DAG, so relaxing all of them at once reaches the
+    longest-path fixpoint in at most n rounds.
+    """
+    n = len(sizes)
+    pos = np.full(n, lo, dtype=float)
+    if len(edges):
+        src, dst = np.asarray(edges, dtype=np.int64).T
+        for _ in range(n):
+            need = pos.copy()
+            np.maximum.at(need, dst, pos[src] + sizes[src])
+            if np.array_equal(need, pos):
+                break
+            pos = need
+    overrun = pos - np.maximum(hi - sizes, lo)
+    worst = int(np.argmax(overrun))
+    return worst, float(overrun[worst])
 
 
 def pack_longest_path(
@@ -77,8 +113,11 @@ def lp_solve_axis(
 
     Raises :class:`SolverInfeasibleError` when the LP is infeasible or the
     solver errors — use :func:`lp_legalize_axis` for the degrading wrapper
-    that falls back to greedy packing instead.  The fault-injection site
-    ``lp.solve`` simulates solver failure here.
+    that falls back to greedy packing instead.  An LP whose sequence-pair
+    order overruns the span by more than :data:`INFEASIBLE_OVERRUN_TOL`
+    is rejected before the solver is called, with linprog's infeasible
+    status (2).  The fault-injection site ``lp.solve`` simulates solver
+    failure here.
     """
     sizes = np.asarray(sizes, dtype=float)
     n = len(sizes)
@@ -88,6 +127,15 @@ def lp_solve_axis(
     if faults.should_fire("lp.solve"):
         raise SolverInfeasibleError(
             "injected LP solver failure", solver="linprog", status="injected"
+        )
+
+    worst, overrun = _worst_overrun(sizes, edges, lo, hi)
+    if overrun > INFEASIBLE_OVERRUN_TOL * max(hi - lo, 1.0):
+        raise SolverInfeasibleError(
+            f"LP infeasible: the sequence-pair order puts rectangle {worst} "
+            f"{overrun:.6g} past its upper bound",
+            solver="longest_path",
+            status=2,
         )
 
     n_nets = len(nets)

@@ -30,14 +30,8 @@ the network entirely.  K=1 disables virtual loss and reproduces the
 sequential search's committed paths exactly.
 
 Terminal evaluations (the real legalize-and-place) are pure functions of
-the assignment, so they are memoized in a shared
-:class:`~repro.parallel.TerminalCache` (optionally persisted across runs)
-and can be dispatched to a :class:`~repro.parallel.TerminalEvaluationPool`:
-a wave submits its terminal leaves as soon as selection discovers them,
-overlaps the in-flight legalizations with the batched network forward, and
-resolves the results — in deterministic submission order — before
-backpropagation.  Pooled and in-process evaluations agree bitwise, so the
-search result is identical for every worker count.
+the assignment, so they run in-process and are memoized in a shared
+:class:`~repro.parallel.TerminalCache` (optionally persisted across runs).
 
 Two-tier terminal evaluation (``MCTSConfig.exact_topk``): with a finite K,
 every terminal leaf is first scored by the
@@ -164,7 +158,6 @@ class MCTSPlacer:
         events: EventLog | None = None,
         budget=None,
         on_commit=None,
-        terminal_pool=None,
         terminal_cache: TerminalCache | None = None,
         surrogate: GroupCentroidSurrogate | None = None,
     ) -> None:
@@ -181,9 +174,6 @@ class MCTSPlacer:
             if terminal_cache is not None
             else TerminalCache(environment_fingerprint(env))
         )
-        #: optional :class:`~repro.parallel.TerminalEvaluationPool`; when it
-        #: has live workers, waves dispatch terminal leaves asynchronously.
-        self.terminal_pool = terminal_pool
         #: transposition-keyed evaluation cache: canonical state content
         #: ``(t, s_p bytes)`` maps to the network's (masked probs, value).
         self._eval_cache: dict[tuple[int, bytes], tuple[np.ndarray, float]] = {}
@@ -199,10 +189,6 @@ class MCTSPlacer:
         #: max-heap (negated) of the K best surrogate scores seen so far —
         #: the streaming admission filter for tier 2.
         self._topk_heap: list[float] = []
-        #: assignment key → in-flight pooled future; dedupes submissions so
-        #: a key never runs on two workers at once (avoided resubmissions
-        #: count as terminal-cache hits).
-        self._inflight: dict[tuple[int, ...], object] = {}
         self.n_terminal_evaluations = 0
         self.n_network_evaluations = 0
         self.n_eval_cache_hits = 0
@@ -316,10 +302,7 @@ class MCTSPlacer:
     ) -> float:
         """Tier 2: the real legalize-and-place, counted, cached, noted."""
         started = time.perf_counter()
-        if self.terminal_pool is not None:
-            wirelength = self.terminal_pool.evaluate(key)
-        else:
-            wirelength = self.env.evaluate_assignment(list(key))
+        wirelength = self.env.evaluate_assignment(list(key))
         self.seconds_terminal += time.perf_counter() - started
         self.n_terminal_evaluations += 1
         self.n_exact_evaluations += 1
@@ -330,24 +313,14 @@ class MCTSPlacer:
         return float(self.reward_fn(wirelength))
 
     def _terminal_value(self, assignment: list[int]) -> float:
-        """Reward of a complete assignment (cached, deduped, poolable).
+        """Reward of a complete assignment (cached).
 
-        Order of business: memoized result → in-flight pooled future
-        (reuse instead of resubmitting; the avoided call counts as a cache
-        hit) → tier-1 surrogate gate (finite ``exact_topk`` only) → tier-2
-        exact evaluation.
+        Order of business: memoized result → tier-1 surrogate gate (finite
+        ``exact_topk`` only) → tier-2 exact evaluation.
         """
         key = tuple(int(a) for a in assignment)
         wirelength = self._terminal_cache.get(key)
         if wirelength is not None:
-            self.n_terminal_cache_hits += 1
-            self._note_terminal(key, wirelength)
-            return float(self.reward_fn(wirelength))
-        inflight = self._inflight.get(key)
-        if inflight is not None:
-            started = time.perf_counter()
-            wirelength = inflight.result()
-            self.seconds_terminal += time.perf_counter() - started
             self.n_terminal_cache_hits += 1
             self._note_terminal(key, wirelength)
             return float(self.reward_fn(wirelength))
@@ -439,15 +412,8 @@ class MCTSPlacer:
         is reverted and every descent backpropagates its real value to the
         root (Eq. 12).  At k=1 virtual loss is skipped — float add/subtract
         round-trips are not bitwise identities — so the sequential search
-        is reproduced exactly.
-
-        With a live :attr:`terminal_pool`, terminal leaves are *submitted*
-        to the workers the moment selection discovers them, overlap with
-        the remaining descents and the network forward, and are resolved in
-        deterministic submission order before backpropagation — terminal
-        values never influence other descents of the same wave (backprop is
-        deferred to wave end), so the deferral changes nothing but
-        wall-clock.
+        is reproduced exactly.  Terminal leaves are evaluated inline, the
+        moment selection reaches them.
         """
         k = max(1, int(k))
         if k == 1:
@@ -458,19 +424,11 @@ class MCTSPlacer:
             prefix_builder = StateBuilder(self.env.coarse)
             for a in committed:
                 prefix_builder.apply(a)
-        pool = self.terminal_pool
-        if pool is not None and not pool.parallel:
-            pool = None
 
         started = time.perf_counter()
         # descent := [path, vl_edges, node, state | None]; terminal descents
         # carry state=None and read node.terminal_value at backprop time.
         descents: list[list] = []
-        #: in-flight pooled terminal evaluations, in submission order:
-        #: assignment tuple → (future, node, surrogate score | None, owned).
-        #: owned=False entries ride a future submitted earlier (the
-        #: in-flight dedupe) — the owner counts and caches the result.
-        pending: dict[tuple[int, ...], tuple[object, Node, float | None, bool]] = {}
         for _ in range(k):
             builder = prefix_builder.clone()
             path: list[tuple[Node, int]] = list(path_to_target)
@@ -492,49 +450,13 @@ class MCTSPlacer:
 
             if builder.done():
                 node.terminal = True
-                key = tuple(int(a) for a in actions_taken)
-                if node.terminal_value is None and key not in pending:
-                    if pool is not None:
-                        wirelength = self._terminal_cache.get(key)
-                        inflight = (
-                            self._inflight.get(key) if wirelength is None else None
-                        )
-                        if wirelength is not None:
-                            self.n_terminal_cache_hits += 1
-                            self._note_terminal(key, wirelength)
-                            node.terminal_value = float(self.reward_fn(wirelength))
-                        elif inflight is not None:
-                            # a worker is already computing this key — ride
-                            # the in-flight future instead of resubmitting
-                            # (owned=False: the owner counts/caches it)
-                            self.n_terminal_cache_hits += 1
-                            pending[key] = (inflight, node, None, False)
-                        else:
-                            score = None
-                            admit = True
-                            if self.surrogate is not None:
-                                self.seconds_selection += (
-                                    time.perf_counter() - started
-                                )
-                                score = self._surrogate_score(key)
-                                admit = self._admit_exact(score)
-                                started = time.perf_counter()
-                            if not admit:
-                                node.terminal_value = self._pruned_value(score)
-                            else:
-                                # dispatch now; legalization overlaps with
-                                # the rest of the wave and the network
-                                # forward
-                                future = pool.submit(key)
-                                self._inflight[key] = future
-                                pending[key] = (future, node, score, True)
-                    else:
-                        # keep the legalize-and-place call out of the
-                        # selection timer — it bills to seconds_terminal
-                        # (and the surrogate gate to seconds_surrogate)
-                        self.seconds_selection += time.perf_counter() - started
-                        node.terminal_value = self._terminal_value(actions_taken)
-                        started = time.perf_counter()
+                if node.terminal_value is None:
+                    # keep the legalize-and-place call out of the selection
+                    # timer — it bills to seconds_terminal (and the
+                    # surrogate gate to seconds_surrogate)
+                    self.seconds_selection += time.perf_counter() - started
+                    node.terminal_value = self._terminal_value(actions_taken)
+                    started = time.perf_counter()
                 descents.append([path, vl_edges, node, None])
             else:
                 descents.append([path, vl_edges, node, builder.observe()])
@@ -563,23 +485,6 @@ class MCTSPlacer:
             self.n_wave_leaves += len(miss_states)
             for i, key in enumerate(miss_keys):
                 self._eval_cache[key] = (probs_batch[i], float(values[i]))
-
-        # Resolve the in-flight terminal evaluations (submission order is
-        # deterministic, so best-terminal tie-breaking matches the
-        # sequential path).
-        for key, (future, node, score, owned) in pending.items():
-            started = time.perf_counter()
-            wirelength = future.result()
-            self.seconds_terminal += time.perf_counter() - started
-            if owned:
-                self.n_terminal_evaluations += 1
-                self.n_exact_evaluations += 1
-                self._terminal_cache.put(key, wirelength)
-                if score is not None:
-                    self._calibration.observe(score, wirelength)
-                self._note_terminal(key, wirelength)
-                self._inflight.pop(key, None)
-            node.terminal_value = float(self.reward_fn(wirelength))
 
         # Expansion, virtual-loss revert, backpropagation (Eq. 12).
         started = time.perf_counter()

@@ -14,6 +14,7 @@ import enum
 from dataclasses import dataclass
 
 from repro.netlist.model import Design, NodeKind
+from repro.runtime.errors import PlacementError
 
 
 class Severity(enum.Enum):
@@ -33,14 +34,18 @@ class Issue:
         return f"[{self.severity.value}] {self.code}: {self.message}"
 
 
-class ValidationError(ValueError):
+class ValidationError(PlacementError, ValueError):
     """Raised by :func:`validate_design` when errors exist and
-    ``raise_on_error`` is set."""
+    ``raise_on_error`` is set.
+
+    A :class:`~repro.runtime.errors.PlacementError` (so the CLI exits with
+    its structured code) and, for backward compatibility, a ``ValueError``.
+    """
 
     def __init__(self, issues: list[Issue]) -> None:
         self.issues = issues
         errors = [str(i) for i in issues if i.severity is Severity.ERROR]
-        super().__init__("; ".join(errors))
+        super().__init__("; ".join(errors), stage="validate")
 
 
 def validate_design(design: Design, raise_on_error: bool = False) -> list[Issue]:
@@ -53,6 +58,12 @@ def validate_design(design: Design, raise_on_error: bool = False) -> list[Issue]
         issues.append(
             Issue(Severity.ERROR, "region-degenerate",
                   f"placement region {region.width}x{region.height} is empty")
+        )
+
+    if not nl.movable_macros:
+        issues.append(
+            Issue(Severity.ERROR, "no-movable-macros",
+                  "the design has no movable macro to place")
         )
 
     total_movable_area = 0.0

@@ -74,10 +74,8 @@ def config_fingerprint(config) -> str:
     ``run_dir``/``resume`` are where/how the run persists, not what it
     computes, so they are excluded — a run may be resumed with a different
     run-dir path spelling or from a config that only flips ``resume``.
-    ``terminal_workers`` and ``terminal_cache_path`` are likewise
-    excluded: pooled and in-process terminal evaluations are
-    bitwise-identical and the cache is a pure accelerator, so a run may
-    be resumed with a different worker count or cache location.
+    ``terminal_cache_path`` is likewise excluded: the cache is a pure
+    accelerator, so a run may be resumed with a different cache location.
     ``verify_results`` only re-checks a finished placement (it can fail
     a run, never change its coordinates), so verified and unverified
     runs share warm artifacts and resume each other freely.
@@ -97,8 +95,6 @@ def config_fingerprint(config) -> str:
 _EXECUTION_KNOBS = (
     "run_dir",
     "resume",
-    "terminal_workers",
-    "terminal_pool_clamp",
     "terminal_cache_path",
     "verify_results",
 )

@@ -111,13 +111,6 @@ class JobSpec:
     macro_scale: float = 0.08
     preset: str = "fast"
     seed: int = 0
-    #: worker processes for terminal evaluation inside this job (execution
-    #: knob; results are bitwise-identical for every count)
-    terminal_workers: int = 1
-    #: clamp the terminal pool to the host's cores (see
-    #: :class:`~repro.core.config.PlacerConfig.terminal_pool_clamp`);
-    #: fault drills that need a real pool on a 1-core CI host opt out
-    terminal_pool_clamp: bool = True
     #: whole-job wall-clock allowance; stages see the remaining budget
     #: through :class:`repro.service.scheduler.JobRunContext` (None = no cap)
     budget_seconds: float | None = None
@@ -133,8 +126,8 @@ class JobSpec:
     #: ``((\"mcts.c_puct\", 2.5), ...)`` pairs, routed through
     #: :func:`repro.core.config.apply_overrides` so the same validation
     #: and coercion rules cover study sweep points and ``repro submit
-    #: --set``.  Applied *before* the terminal execution knobs, so a
-    #: spec can never alias them.
+    #: --set``.  Applied *before* the terminal cache path, so a spec
+    #: can never alias it.
     overrides: tuple | list | None = None
 
     def validate(self):
@@ -186,8 +179,6 @@ class JobSpec:
     def build_config(self, terminal_cache_path: str | None = None):
         return replace(
             self.validate(),
-            terminal_workers=self.terminal_workers,
-            terminal_pool_clamp=self.terminal_pool_clamp,
             terminal_cache_path=terminal_cache_path,
         )
 

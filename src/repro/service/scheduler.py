@@ -99,7 +99,7 @@ class Scheduler:
         self._queue: queue.PriorityQueue = queue.PriorityQueue()
         self._threads: list[threading.Thread] = []
         self._stop = threading.Event()
-        self._inflight = 0
+        self._busy = 0
         self._lock = threading.Lock()
         self._enqueued: set[str] = set()
         #: monotonic attempt-dispatch counter; each dequeue gets a ticket
@@ -176,7 +176,7 @@ class Scheduler:
         with self._lock:
             return (
                 self._queue.empty()
-                and self._inflight - len(self._abandoned) <= 0
+                and self._busy - len(self._abandoned) <= 0
             )
 
     def _worker(self) -> None:
@@ -196,7 +196,7 @@ class Scheduler:
                 continue
             _, _, job_id = item
             with self._lock:
-                self._inflight += 1
+                self._busy += 1
                 self._next_ticket += 1
                 ticket = self._next_ticket
                 self._running[job_id] = ticket
@@ -207,7 +207,7 @@ class Scheduler:
                     self.execute(job_id)
             finally:
                 with self._lock:
-                    self._inflight -= 1
+                    self._busy -= 1
                     if self._running.get(job_id) == ticket:
                         del self._running[job_id]
                     elif ticket in self._abandoned:

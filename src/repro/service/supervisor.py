@@ -82,6 +82,8 @@ PERMANENT_KINDS = frozenset(
         # resubmits once pressure clears; the journaled job stays FAILED
         "ResourcePressure",
         "VerificationError",
+        # the flow's input check rejected the design itself
+        "ValidationError",
     }
 )
 

@@ -239,7 +239,6 @@ class StudyPoint:
             macro_scale=spec.macro_scale,
             preset=spec.preset,
             seed=self.seed,
-            terminal_workers=spec.terminal_workers,
             budget_seconds=spec.budget_seconds,
             overrides=self.values or None,
         )
@@ -255,6 +254,12 @@ class StudyPoint:
 
 
 # -- the spec ----------------------------------------------------------------
+#: the worker count of the removed terminal process pool.  An older
+#: spec.json may carry it (the parser drops it), and :func:`_point_id`
+#: still hashes it at its old default.
+_LEGACY_WORKERS_KEY = "terminal_workers"
+
+
 @dataclass(frozen=True)
 class StudySpec:
     """A declarative design-space-exploration study."""
@@ -270,7 +275,6 @@ class StudySpec:
     constraints: tuple = ()
     priority: int = 0
     budget_seconds: float | None = None
-    terminal_workers: int = 1
     max_points: int = field(default=MAX_POINTS)
 
     # -- parsing --------------------------------------------------------------
@@ -278,6 +282,7 @@ class StudySpec:
     def from_json(cls, payload: dict) -> "StudySpec":
         if not isinstance(payload, dict):
             raise UsageError("study spec must be a JSON/TOML table")
+        payload = {k: v for k, v in payload.items() if k != _LEGACY_WORKERS_KEY}
         unknown = set(payload) - set(cls.__dataclass_fields__)
         if unknown:
             raise UsageError(
@@ -343,7 +348,6 @@ class StudySpec:
             "constraints": [dict(c) for c in self.constraints],
             "priority": self.priority,
             "budget_seconds": self.budget_seconds,
-            "terminal_workers": self.terminal_workers,
             "max_points": self.max_points,
         }
 
@@ -436,7 +440,11 @@ def _point_id(spec: StudySpec, seed: int, values: tuple) -> str:
         "scale": spec.scale,
         "macro_scale": spec.macro_scale,
         "preset": spec.preset,
-        "terminal_workers": spec.terminal_workers,
+        # The removed terminal-pool worker count stays in the hashed
+        # payload at its old default, so every point id (and with it every
+        # ``study-<id>`` job id) matches the one an older study dir
+        # recorded, and resuming it does not resubmit DONE points.
+        _LEGACY_WORKERS_KEY: 1,
         "budget_seconds": spec.budget_seconds,
         "seed": seed,
         "values": [[k, list(v) if isinstance(v, tuple) else v]

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.eval.metrics import macro_overlap_area, out_of_region_area
+from repro.legalize import lp_spread
 from repro.legalize.lp_spread import AxisNet, lp_legalize_axis, pack_longest_path
 from repro.legalize.pipeline import MacroLegalizer, anchor_for_span, span_rect
 from repro.legalize.sequence_pair import SequencePair, extract_sequence_pair
+from repro.runtime.errors import SolverInfeasibleError
 
 _PROPERTY_COARSE = None
 
@@ -140,6 +142,69 @@ class TestLPLegalizeAxis:
 
     def test_empty_input(self):
         assert lp_legalize_axis(np.zeros(0), [], 0.0, 1.0, []).shape == (0,)
+
+
+def _random_axis_lps(seed: int = 0, count: int = 80):
+    """Small one-axis LPs as the legalizer builds them: sequence-pair
+    edges from random rectangles, a random window, random nets."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 7))
+        xs, ys = rng.uniform(0, 40, n), rng.uniform(0, 40, n)
+        ws, hs = rng.uniform(1, 25, n), rng.uniform(1, 25, n)
+        edges, _ = extract_sequence_pair(xs, ys, ws, hs).relations()
+        lo = float(rng.uniform(-10, 10))
+        hi = lo + float(rng.uniform(10, 70))
+        nets = [
+            AxisNet(
+                weight=float(rng.uniform(0.5, 2)),
+                pins=[(int(i), float(rng.uniform(0, ws[i])))
+                      for i in rng.choice(n, size=min(n, 2), replace=False)],
+                fixed_positions=[float(rng.uniform(lo, hi))],
+            )
+            for _ in range(int(rng.integers(0, 4)))
+        ]
+        yield ws, edges, lo, hi, nets
+    # one rectangle wider than the window, alone and chained behind another
+    yield np.array([30.0]), [], 0.0, 20.0, []
+    yield np.array([30.0, 2.0]), [], 0.0, 20.0, []
+    yield np.array([2.0, 30.0]), [(0, 1)], 0.0, 20.0, []
+
+
+class TestInfeasibilityPrecheck:
+    def test_precheck_matches_linprog(self, monkeypatch):
+        verdicts = []
+        for sizes, edges, lo, hi, nets in _random_axis_lps():
+            _, overrun = lp_spread._worst_overrun(sizes, edges, lo, hi)
+            rejected = overrun > lp_spread.INFEASIBLE_OVERRUN_TOL * max(hi - lo, 1.0)
+            with monkeypatch.context() as m:
+                # let every LP through to HiGHS
+                m.setattr(lp_spread, "_worst_overrun",
+                          lambda *_: (0, float("-inf")))
+                try:
+                    lp_spread.lp_solve_axis(sizes, edges, lo, hi, nets)
+                    solved = True
+                except SolverInfeasibleError as exc:
+                    assert exc.details["status"] == 2
+                    solved = False
+            assert rejected == (not solved), (sizes, edges, lo, hi)
+            verdicts.append(rejected)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_rejected_lp_skips_the_solver_and_packs(self, monkeypatch):
+        def no_solver(*_args, **_kwargs):
+            raise AssertionError("linprog called on a provably infeasible LP")
+
+        monkeypatch.setattr(lp_spread.sopt, "linprog", no_solver)
+        sizes = np.array([5.0, 5.0, 5.0])
+        edges = [(0, 1), (1, 2)]
+        errors = []
+        pos = lp_legalize_axis(sizes, edges, 0.0, 8.0, [],
+                               on_degrade=errors.append)
+        np.testing.assert_array_equal(
+            pos, np.minimum(pack_longest_path(sizes, edges, 0.0), 8.0 - sizes)
+        )
+        assert [e.details["status"] for e in errors] == [2]
 
 
 class TestSpanHelpers:

@@ -97,10 +97,9 @@ class TestJobSpec:
         assert JobSpec.from_json(payload) == spec
 
     def test_build_config_applies_seed_and_knobs(self, tmp_path):
-        spec = JobSpec(circuit="ibm01", seed=11, terminal_workers=2)
+        spec = JobSpec(circuit="ibm01", seed=11)
         cfg = spec.build_config(terminal_cache_path=str(tmp_path / "tc"))
         assert cfg.seed == 11
-        assert cfg.terminal_workers == 2
         assert cfg.terminal_cache_path == str(tmp_path / "tc")
 
 
@@ -124,6 +123,23 @@ class TestJobStore:
             QUEUED: 0, RUNNING: 0, DONE: 1, FAILED: 0, CANCELLED: 1,
             QUARANTINED: 0,
         }
+
+    def test_journal_with_removed_pool_knobs_replays(self, tmp_path):
+        # Journals written while the terminal process pool existed carry
+        # its two knobs in every submit record's spec.
+        path = str(tmp_path / "jobs.jsonl")
+        spec = JobSpec(circuit="ibm01", seed=9)
+        legacy = dict(
+            spec.to_json(), terminal_workers=2, terminal_pool_clamp=False
+        )
+        with open(path, "w") as f:
+            f.write(json.dumps({"record": "submit", "id": "old", "ts": 1.0,
+                                "seq": 1, "spec": legacy}) + "\n")
+            f.write(json.dumps({"record": "state", "id": "old", "ts": 2.0,
+                                "state": DONE, "hpwl": 42.5}) + "\n")
+        job = JobStore(path).load().get("old")
+        assert job.spec == spec
+        assert job.state == DONE and job.hpwl == 42.5
 
     def test_torn_tail_forgets_only_last_transition(self, tmp_path):
         path = str(tmp_path / "jobs.jsonl")
@@ -281,12 +297,12 @@ class TestWarmKeys:
         assert not cache.has(cache.key(cfg_a, design))
 
     def test_execution_knobs_do_not_split_the_key(self, aux_path, tmp_path):
-        """terminal_workers / terminal_cache_path are execution knobs:
-        two jobs differing only there must share warm artifacts."""
+        """terminal_cache_path is an execution knob: two jobs differing
+        only there must share warm artifacts."""
         cache = WarmArtifactCache(str(tmp_path / "warm"))
         design = read_aux(aux_path)
         cfg_a = _spec(aux_path).build_config()
-        cfg_b = _spec(aux_path, terminal_workers=4).build_config(
+        cfg_b = _spec(aux_path).build_config(
             terminal_cache_path=str(tmp_path / "tc.jsonl")
         )
         assert cache.key(cfg_a, design) == cache.key(cfg_b, design)

@@ -101,6 +101,31 @@ class TestSpecExpansion:
         # seeds innermost: consecutive points share knob values
         assert a[0].values == a[1].values and a[0].seed != a[1].seed
 
+    def test_point_ids_are_golden(self):
+        # Study journals and ``study-<id>`` service job ids are keyed on
+        # these hashes; deleting a spec field must not move them.
+        spec = StudySpec.from_json({
+            "name": "golden",
+            "circuit": "ibm01",
+            "preset": "fast",
+            "seeds": [0, 3],
+            "axes": [
+                {"knob": "mcts.c_puct", "values": [1.05, 2.5]},
+                {"knob": "zeta", "values": [8, 10]},
+            ],
+            "budget_seconds": 30.0,
+        })
+        assert [p.point_id for p in spec.expand()] == [
+            "bb7c3decdff8", "0a2338502dae", "4cb821acf39d", "7910ff2a08c4",
+            "29c6893ed975", "b55bf6626449", "2ee838d6766d", "833bb5177bb5",
+        ]
+
+    def test_removed_terminal_workers_key_is_dropped(self, aux_path):
+        legacy = StudySpec.from_json(_spec_payload(aux_path, terminal_workers=2))
+        assert legacy == StudySpec.from_json(_spec_payload(aux_path))
+        with pytest.raises(UsageError, match="unknown study spec keys"):
+            StudySpec.from_json(_spec_payload(aux_path, terminal_pool_clamp=True))
+
     def test_constraints_exclude_require_and_ops(self, aux_path):
         spec = StudySpec.from_json(_spec_payload(
             aux_path,
@@ -326,6 +351,16 @@ class TestOrchestration:
         other = StudySpec.from_json(_spec_payload(aux_path, seeds=[7]))
         with pytest.raises(UsageError):
             Study.create(study.paths.root, other)
+
+    def test_study_dir_with_removed_spec_key_reopens(self, aux_path, tmp_path):
+        study = self._study(aux_path, tmp_path)
+        legacy = dict(study.spec.to_json(), terminal_workers=1)
+        write_json_atomic(study.paths.spec, legacy)
+        reloaded = Study.load(study.paths.root)
+        assert [p.job_id for p in reloaded.points] == [
+            p.job_id for p in study.points
+        ]
+        Study.create(study.paths.root, study.spec)  # drift guard passes
 
     def test_status_overlays_live_service_state(self, aux_path, tmp_path):
         study = self._study(aux_path, tmp_path)

@@ -59,7 +59,8 @@ class TestValidation:
 
     def test_high_utilization_warning(self):
         d = design_of(
-            [Cell(f"c{i}", 31, 31) for i in range(10)],  # 9610 / 10000
+            # 9610 + 1 / 10000
+            [Macro("m", 1, 1)] + [Cell(f"c{i}", 31, 31) for i in range(10)],
             region=PlacementRegion(0, 0, 100, 100),
         )
         issues = validate_design(d)
@@ -87,15 +88,73 @@ class TestValidation:
 
     def test_warnings_do_not_raise(self):
         d = design_of(
-            [Cell("c", 1, 1)],
+            [Macro("m", 1, 1), Cell("c", 1, 1)],
             [Net("n", pins=[Pin("c"), Pin("c")])],
         )
         validate_design(d, raise_on_error=True)  # warnings only: no raise
+
+    @pytest.mark.parametrize("nodes", [
+        [],
+        [Cell("c", 1, 1)],
+        [Macro("m", 10, 10, x=0, y=0, fixed=True), Cell("c", 1, 1)],
+    ], ids=["empty", "no-macros", "all-fixed"])
+    def test_no_movable_macros(self, nodes):
+        assert "no-movable-macros" in codes(validate_design(design_of(nodes)))
 
     def test_issue_str(self):
         d = design_of([Macro("m", 200, 10)])
         issue = validate_design(d)[0]
         assert "macro-oversized" in str(issue)
+
+
+def _three_pin_design(macros, region) -> Design:
+    return design_of(
+        macros + [Cell("c", 2, 1)],
+        [Net("n", pins=[Pin(n.name) for n in macros] + [Pin("c")])],
+        region=region,
+    )
+
+
+class TestFlowRejectsDegenerateDesigns:
+    """The flow validates its input first, so a design it cannot place
+    fails with a structured error (exit code 10), not a traceback."""
+
+    @pytest.mark.parametrize("design, code", [
+        (design_of(), "no-movable-macros"),
+        (design_of([Cell("a", 2, 1), Cell("b", 2, 1)],
+                   [Net("n", pins=[Pin("a"), Pin("b")])]),
+         "no-movable-macros"),
+        (_three_pin_design([Macro("m", 10, 10, x=0, y=0, fixed=True)],
+                           PlacementRegion(0, 0, 100, 100)),
+         "no-movable-macros"),
+        (_three_pin_design([Macro("m0", 10, 10), Macro("m1", 10, 10)],
+                           PlacementRegion(0, 0, 0, 0)),
+         "region-degenerate"),
+        (_three_pin_design([Macro("m0", 30, 30), Macro("m1", 5, 5)],
+                           PlacementRegion(0, 0, 20, 20)),
+         "macro-oversized"),
+    ], ids=["empty", "no-macros", "all-fixed", "zero-region", "oversized"])
+    def test_place_raises_validation_error(self, design, code):
+        from repro.core import MCTSGuidedPlacer
+        from repro.core.config import PlacerConfig
+        from repro.runtime.errors import PlacementError
+
+        with pytest.raises(ValidationError, match=code) as info:
+            MCTSGuidedPlacer(PlacerConfig.fast()).place(design)
+        assert isinstance(info.value, PlacementError)
+        assert info.value.exit_code == 10
+
+    def test_cli_exits_10_on_a_macro_free_bookshelf(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.netlist.bookshelf import write_design
+
+        design = design_of(
+            [Cell("a", 2, 1), Cell("b", 2, 1)],
+            [Net("n", pins=[Pin("a"), Pin("b")])],
+        )
+        aux = write_design(design, str(tmp_path))
+        assert main(["place", "--aux", aux, "--preset", "fast"]) == 10
+        assert "no-movable-macros" in capsys.readouterr().err
 
 
 class TestGeneratorFuzzRoundTrip:
